@@ -11,8 +11,10 @@
 //!   `DeDP → DeDPO → RatioGreedy` (the paper's own memory-frugality
 //!   ordering: DeDPO produces identical plannings to DeDP with a
 //!   fraction of the footprint, RatioGreedy needs `O(|V| + |U|)`
-//!   state). Every fallback is counted as a `guard_fallback` trace
-//!   event.
+//!   state; its refresh cache adds at most 64 candidates per event in
+//!   one allocation and one log entry per assignment, none of it
+//!   charged to the guard). Every fallback is counted as a
+//!   `guard_fallback` trace event.
 //! * **Deadline splitting** — one wall-clock deadline covers the whole
 //!   chain; each attempt runs under the time *remaining*, and a
 //!   deadline or cancellation trip ends the chain immediately (retrying

@@ -13,16 +13,45 @@
 //! start from a non-empty planning and restrict itself to a subset of
 //! events (those with residual capacity).
 //!
-//! The two `O(|U|·|V|)` scan phases — heap seeding and the incident
-//! refresh after an accepted pop — fan out over `usep-par` when more
-//! than one thread is configured. Scans are pure reads of the planning;
-//! the commits (generation bumps and heap pushes) replay sequentially
-//! in index order afterwards, so the heap — and therefore the final
-//! planning — is bit-identical to a single-threaded run.
+//! # Cached event refresh
+//!
+//! A pair's key — ratio ↓, then `inc_cost` ↑, then user id ↑ — depends
+//! on the user's schedule and on nothing else that changes during a run
+//! (the event's remaining capacity gates all of its pairs at once). So
+//! between two refreshes of an event, only users whose schedule changed
+//! can have a new key for it. The engine keeps, per event, the best K
+//! users of its last full scan, best first, plus a *floor*: the best key
+//! outside that list, an upper bound on every unlisted user's key. Every
+//! accepted assignment appends its user to a per-run log of changed
+//! users. A refresh re-probes only the users logged since the event's
+//! last refresh, each once: a listed user is re-keyed (or dropped once
+//! invalid), an unlisted one joins only above the floor, and a full list
+//! spills its worst entry into the floor. Listed keys are then exact and unlisted
+//! ones are bounded by the floor, so a list head that beats the floor is
+//! exactly the argmax a full `O(|U|)` scan would return; when the list
+//! ran dry or the floor overtook its head, the event is rescanned. The
+//! heap therefore sees the same pushes, in the same order, as with a
+//! full scan at every refresh.
+//!
+//! K is the event's remaining capacity when the run starts, clamped to
+//! `[K_MIN, K_MAX]`: the event takes at most that many more users, so
+//! its list rarely runs dry before the event is full. All lists live in
+//! one allocation sized then; rescans reuse the event's slot.
+//!
+//! # Parallel seeding
+//!
+//! The `O(|U|·|V|)` heap seeding scan fans out over `usep-par` when more
+//! than one thread is configured; it is RatioGreedy's only parallel
+//! section. Scans are pure reads of the planning (each event's scan
+//! writes only its own list slot); the commits (generation bumps and
+//! heap pushes) replay sequentially in index order afterwards, so the
+//! heap — and therefore the final planning — is bit-identical to a
+//! single-threaded run.
 
 use crate::{finish_guarded, GuardedSolve, Solver};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 use usep_core::{CoreView, Cost, EventId, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_par::{current_threads, par_map_section};
@@ -31,6 +60,20 @@ use usep_trace::{with_span, Counter, LocalCounters, Probe};
 /// Below this many scan items a parallel section's thread spawns cost
 /// more than the scans they would offload; stay inline.
 const MIN_PAR_ITEMS: usize = 32;
+
+/// Shortest per-event candidate list: events with little capacity left
+/// (the `+RG` pass, delta repairs) still absorb some churn before a
+/// rescan.
+const K_MIN: usize = 8;
+
+/// Longest per-event candidate list, so the lists stay `O(|V|)` however
+/// large the capacities are. A list of K spreads one `O(|U|)` rescan
+/// over up to K of the event's assignments; past 64 the rescans saved no
+/// longer paid for the memory: at |V| = 500, |U| = 12 500, mean capacity
+/// 200, a solve took 6.0 s and peaked at 3.5 MB with 64, against 5.0 s
+/// and 4.4 MB with 256 (DeDPO peaks at 4.2 MB there, and RatioGreedy is
+/// the memory floor of the degradation chain).
+const K_MAX: usize = 64;
 
 /// The RatioGreedy heuristic (Algorithm 1). No approximation guarantee,
 /// but fast on small instances; used standalone and as the `+RG`
@@ -200,34 +243,124 @@ fn pair_inc<V: CoreView>(
     Some(inc)
 }
 
-/// The scan half of an event refresh (lines 3–5 / 12–14): the best user
-/// for `v` by ratio, tie-broken by `inc_cost` then id. Pure.
+/// One candidate user for an event, keyed as the heap orders pairs.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    u: UserId,
+    ratio: f64,
+    inc: Cost,
+}
+
+impl Pick {
+    /// Filler for list slots that hold no candidate.
+    const EMPTY: Pick = Pick { u: UserId(0), ratio: 0.0, inc: Cost::ZERO };
+
+    /// Strictly ahead of `other` in Algorithm 1's order: ratio
+    /// descending, then `inc_cost` ascending (the paper's tie-break),
+    /// then user id ascending for determinism.
+    #[inline]
+    fn beats(&self, other: &Pick) -> bool {
+        self.ratio > other.ratio
+            || (self.ratio == other.ratio
+                && (self.inc < other.inc || (self.inc == other.inc && self.u < other.u)))
+    }
+}
+
+/// Probes `(v, u)` and keys it when valid. Pure.
+#[inline]
+fn pick<V: CoreView>(
+    view: &V,
+    planning: &Planning,
+    occ: &Occupancy,
+    v: EventId,
+    u: UserId,
+    lc: &mut LocalCounters,
+) -> Option<Pick> {
+    let inc = pair_inc(view, planning, occ, v, u, lc)?;
+    Some(Pick { u, ratio: ratio_of(view.mu(v, u), inc), inc })
+}
+
+/// A best-first candidate list over one event's slot: `items[..len]`
+/// in [`Pick::beats`] order, and `floor`, the best key that did not fit
+/// (`None` while every user outside the list is invalid).
+struct Ranked<'s> {
+    items: &'s mut [Pick],
+    len: usize,
+    floor: Option<Pick>,
+}
+
+impl Ranked<'_> {
+    fn above_floor(&self, p: &Pick) -> bool {
+        self.floor.is_none_or(|f| p.beats(&f))
+    }
+
+    fn raise_floor(&mut self, p: Pick) {
+        if self.above_floor(&p) {
+            self.floor = Some(p);
+        }
+    }
+
+    /// Inserts `p` in order. When the list is full, whichever of `p` and
+    /// the last entry ranks lower stays out and raises the floor.
+    fn insert(&mut self, p: Pick) {
+        let at = self.items[..self.len].partition_point(|q| q.beats(&p));
+        if self.len == self.items.len() {
+            if at == self.len {
+                self.raise_floor(p);
+                return;
+            }
+            self.len -= 1;
+            self.raise_floor(self.items[self.len]);
+        }
+        self.items.copy_within(at..self.len, at + 1);
+        self.items[at] = p;
+        self.len += 1;
+    }
+
+    /// Keeps the entries `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&Pick) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.items[i]) {
+                self.items[kept] = self.items[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
+/// List length for an event with `rem` capacity left: the users it can
+/// still take, clamped to `[K_MIN, K_MAX]` and `|U|`. A full event
+/// never needs a list.
+fn list_len(rem: u32, num_users: usize) -> usize {
+    if rem == 0 {
+        0
+    } else {
+        (rem as usize).clamp(K_MIN, K_MAX).min(num_users)
+    }
+}
+
+/// The full scan of an event refresh (lines 3–5 / 12–14): ranks every
+/// valid user for `v` into `slot`, keeping the best `slot.len()`, and
+/// returns how many it kept and the floor. Pure.
 fn scan_event<V: CoreView>(
     view: &V,
     planning: &Planning,
     occ: &Occupancy,
     v: EventId,
+    slot: &mut [Pick],
     lc: &mut LocalCounters,
-) -> Option<(UserId, f64, Cost)> {
-    if remaining_capacity(view, planning, v) == 0 {
-        return None;
-    }
-    let mut best: Option<(UserId, f64, Cost)> = None;
-    for ui in 0..view.num_users() as u32 {
-        let u = UserId(ui);
-        let Some(inc) = pair_inc(view, planning, occ, v, u, lc) else { continue };
-        let r = ratio_of(view.mu(v, u), inc);
-        let better = match best {
-            None => true,
-            Some((bu, br, binc)) => {
-                r > br || (r == br && (inc < binc || (inc == binc && u < bu)))
+) -> (usize, Option<Pick>) {
+    let mut list = Ranked { items: slot, len: 0, floor: None };
+    if remaining_capacity(view, planning, v) > 0 {
+        for ui in 0..view.num_users() as u32 {
+            if let Some(p) = pick(view, planning, occ, v, UserId(ui), lc) {
+                list.insert(p);
             }
-        };
-        if better {
-            best = Some((u, r, inc));
         }
     }
-    best
+    (list.len, list.floor)
 }
 
 /// The scan half of a user refresh (lines 6–8 / 19–20): the best event
@@ -257,6 +390,175 @@ fn scan_user<V: CoreView>(
     best
 }
 
+/// One event's candidate list: where it lives in [`EventLists::picks`]
+/// and its state as of the event's last refresh.
+#[derive(Clone, Copy)]
+struct Slot {
+    start: usize,
+    cap: usize,
+    /// False until the event's first full scan, which a guard trip can
+    /// skip; an unscanned event has no list to answer from.
+    scanned: bool,
+    len: usize,
+    floor: Option<Pick>,
+    /// Length of the changed-user log at the event's last refresh.
+    seen: usize,
+}
+
+/// Full scans after an event's first, by trigger.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Rescans {
+    /// Every listed user turned invalid.
+    dry: u64,
+    /// The floor rose above every listed key.
+    overtaken: u64,
+}
+
+#[cfg(test)]
+impl Rescans {
+    fn note(&mut self, overtaken: bool) {
+        if overtaken {
+            self.overtaken += 1;
+        } else {
+            self.dry += 1;
+        }
+    }
+}
+
+/// The cached event refresh of one run (module docs).
+struct EventLists {
+    /// Every event's list, back to back in one allocation sized when
+    /// the run starts.
+    picks: Vec<Pick>,
+    /// Per event, indexed like `Engine::events`.
+    slots: Vec<Slot>,
+    /// Users whose schedule changed during the run, in order.
+    changed: Vec<UserId>,
+    /// Per user, scratch for the refresh merging the log: `stamp` while
+    /// the user is still to be merged, `stamp + 1` if they were listed.
+    marks: Vec<u64>,
+    stamp: u64,
+    #[cfg(test)]
+    rescans: Rescans,
+}
+
+impl EventLists {
+    fn new<V: CoreView>(view: &V, planning: &Planning, events: &[EventId]) -> EventLists {
+        let mut total = 0;
+        let slots = events
+            .iter()
+            .map(|&v| {
+                let cap = list_len(remaining_capacity(view, planning, v), view.num_users());
+                let slot =
+                    Slot { start: total, cap, scanned: false, len: 0, floor: None, seen: 0 };
+                total += cap;
+                slot
+            })
+            .collect();
+        EventLists {
+            picks: vec![Pick::EMPTY; total],
+            slots,
+            changed: Vec::new(),
+            marks: vec![0; view.num_users()],
+            stamp: 0,
+            #[cfg(test)]
+            rescans: Rescans::default(),
+        }
+    }
+
+    /// Records that `u`'s schedule changed.
+    fn log(&mut self, u: UserId) {
+        self.changed.push(u);
+    }
+
+    /// Every event's slot as its own lock, so a parallel seed can hand
+    /// each worker the slots of the events it scans (each lock is only
+    /// ever taken once, by one worker).
+    fn slot_locks(&mut self) -> Vec<Mutex<&mut [Pick]>> {
+        let mut rest = &mut self.picks[..];
+        self.slots
+            .iter()
+            .map(|s| {
+                let (slot, tail) = std::mem::take(&mut rest).split_at_mut(s.cap);
+                rest = tail;
+                Mutex::new(slot)
+            })
+            .collect()
+    }
+
+    /// Marks the event at `pos` scanned after a [`scan_event`] straight
+    /// into its slot (the parallel seed), returning the list head.
+    fn install(&mut self, pos: usize, len: usize, floor: Option<Pick>) -> Option<Pick> {
+        let s = &mut self.slots[pos];
+        *s = Slot { scanned: true, len, floor, seen: self.changed.len(), ..*s };
+        self.picks[s.start..s.start + len].first().copied()
+    }
+
+    /// The best user for event `v` at `pos` — exactly the answer of a
+    /// full scan, taken from the list whenever its head beats the floor.
+    fn best_user<V: CoreView>(
+        &mut self,
+        view: &V,
+        planning: &Planning,
+        occ: &Occupancy,
+        pos: usize,
+        v: EventId,
+        lc: &mut LocalCounters,
+    ) -> Option<Pick> {
+        if remaining_capacity(view, planning, v) == 0 {
+            return None;
+        }
+        let s = &mut self.slots[pos];
+        let slot = &mut self.picks[s.start..s.start + s.cap];
+        let fresh = &self.changed[s.seen..];
+        s.seen = self.changed.len();
+        if s.scanned {
+            let mut list = Ranked { items: &mut *slot, len: s.len, floor: s.floor };
+            if !fresh.is_empty() {
+                // take the logged users out of the list, noting who was in
+                // it, then merge each of them once with today's key
+                self.stamp += 2;
+                let (to_merge, listed) = (self.stamp, self.stamp + 1);
+                let marks = &mut self.marks;
+                for &u in fresh {
+                    marks[u.index()] = to_merge;
+                }
+                list.retain(|p| {
+                    let mark = &mut marks[p.u.index()];
+                    let keep = *mark != to_merge;
+                    if !keep {
+                        *mark = listed;
+                    }
+                    keep
+                });
+                for &u in fresh {
+                    let mark = std::mem::take(&mut marks[u.index()]);
+                    if mark < to_merge {
+                        continue; // a repeat in the log, merged at its first entry
+                    }
+                    match pick(view, planning, occ, v, u, lc) {
+                        Some(p) if mark == listed || list.above_floor(&p) => list.insert(p),
+                        _ => {}
+                    }
+                }
+            }
+            (s.len, s.floor) = (list.len, list.floor);
+            let head = list.items[..list.len].first().copied();
+            match head {
+                Some(h) if list.above_floor(&h) => return Some(h),
+                None if list.floor.is_none() => return None,
+                _ => {}
+            }
+            #[cfg(test)]
+            self.rescans.note(head.is_some());
+        }
+        (s.len, s.floor) = scan_event(view, planning, occ, v, slot, lc);
+        s.scanned = true;
+        slot[..s.len].first().copied()
+    }
+}
+
 struct Engine<'a, V: CoreView + Sync> {
     inst: &'a Instance,
     /// The hot-path accessor surface: the frozen `FlatInstance`
@@ -272,13 +574,15 @@ struct Engine<'a, V: CoreView + Sync> {
     /// Current generation per event (index = position in `events`).
     event_gen: Vec<u64>,
     /// Current best candidate per event, if any.
-    event_best: Vec<Option<(UserId, f64, Cost)>>,
+    event_best: Vec<Option<Pick>>,
+    /// The candidate lists behind every event refresh.
+    lists: EventLists,
     user_gen: Vec<u64>,
     user_best: Vec<Option<(EventId, f64, Cost)>>,
     /// Maps `EventId` to its position in `events` (u32::MAX = excluded).
     event_pos: Vec<u32>,
     next_gen: u64,
-    /// Worker count for the scan fan-outs (resolved once per run).
+    /// Worker count for the seed fan-out (resolved once per run).
     threads: usize,
     guard: &'a Guard,
     probe: &'a dyn Probe,
@@ -298,6 +602,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             event_pos[v.index()] = i as u32;
         }
         let occ = Occupancy::from_planning(inst.num_events(), planning);
+        let lists = EventLists::new(view, planning, events);
         Engine {
             inst,
             view,
@@ -307,6 +612,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             heap: BinaryHeap::new(),
             event_gen: vec![0; events.len()],
             event_best: vec![None; events.len()],
+            lists,
             user_gen: vec![0; inst.num_users()],
             user_best: vec![None; inst.num_users()],
             event_pos,
@@ -318,16 +624,17 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
     }
 
     /// The commit half of an event refresh: bumps the generation, stores
-    /// the scan's best and pushes it. Commits always run on the driving
+    /// the best pick and pushes it. Commits always run on the driving
     /// thread, in item-index order.
-    fn commit_event(&mut self, pos: usize, v: EventId, best: Option<(UserId, f64, Cost)>) {
+    fn commit_event(&mut self, pos: usize, best: Option<Pick>) {
         self.probe.count(Counter::CandidateRefreshEvent, 1);
         self.next_gen += 1;
         self.event_gen[pos] = self.next_gen;
         self.event_best[pos] = best;
-        if let Some((u, r, inc)) = best {
+        if let Some(Pick { u, ratio, inc }) = best {
             self.probe.count(Counter::HeapPush, 1);
-            self.heap.push(Cand { ratio: r, inc, v, u, side: Side::Event, gen: self.next_gen });
+            let v = self.events[pos];
+            self.heap.push(Cand { ratio, inc, v, u, side: Side::Event, gen: self.next_gen });
         }
     }
 
@@ -343,17 +650,14 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
         }
     }
 
-    /// Recomputes the best user for event `v` (lines 3–5 / 12–14) and
-    /// pushes it.
-    fn refresh_event(&mut self, v: EventId) {
-        let pos = self.event_pos[v.index()];
-        if pos == u32::MAX {
-            return; // event excluded from this run
-        }
+    /// Recomputes the best user for the event at `pos` (lines 3–5 /
+    /// 12–14) and pushes it.
+    fn refresh_event(&mut self, pos: usize) {
         let mut lc = LocalCounters::new();
-        let best = scan_event(self.view, self.planning, &self.occ, v, &mut lc);
+        let v = self.events[pos];
+        let best = self.lists.best_user(self.view, self.planning, &self.occ, pos, v, &mut lc);
         lc.flush_into(self.probe);
-        self.commit_event(pos as usize, v, best);
+        self.commit_event(pos, best);
     }
 
     /// Recomputes the best event for user `u` (lines 6–8 / 19–20) and
@@ -375,21 +679,29 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             let (view, probe) = (self.view, self.probe);
             let occ = &self.occ;
             let planning: &Planning = self.planning;
+            let events = self.events;
+            let slots = self.lists.slot_locks();
             let event_scans = par_map_section(
                 self.threads,
                 "par.seed_events",
                 probe,
-                self.events,
+                &slots,
                 self.guard,
                 LocalCounters::new,
-                |lc, _, &v| scan_event(view, planning, occ, v, lc),
+                |lc, pos, slot| {
+                    let mut slot = slot.lock().expect("a slot is locked once, never poisoned");
+                    scan_event(view, planning, occ, events[pos], &mut slot, lc)
+                },
                 |mut lc| lc.flush_into(probe),
             );
+            drop(slots);
             for (pos, scan) in event_scans.into_iter().enumerate() {
                 // a `None` slot means the guard tripped before this
-                // chunk: skip the commit, the drain loop stops anyway
-                let Some(best) = scan else { continue };
-                self.commit_event(pos, self.events[pos], best);
+                // chunk: skip the commit (the event stays unscanned),
+                // the drain loop stops anyway
+                let Some((len, floor)) = scan else { continue };
+                let best = self.lists.install(pos, len, floor);
+                self.commit_event(pos, best);
             }
             let events = self.events;
             let occ = &self.occ;
@@ -415,11 +727,11 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             let probe = self.probe;
             with_span(probe, "par.seed_events", || {
                 probe.count(Counter::ParSection, 1);
-                for i in 0..self.events.len() {
+                for pos in 0..self.events.len() {
                     if self.guard.checkpoint() {
                         break;
                     }
-                    self.refresh_event(self.events[i]);
+                    self.refresh_event(pos);
                 }
             });
             with_span(probe, "par.seed_users", || {
@@ -446,13 +758,11 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 break;
             }
             self.probe.count(Counter::HeapPop, 1);
+            let pos = self.event_pos[c.v.index()] as usize;
             // lazy deletion: only the entry matching the side's current
             // generation is live
             let live = match c.side {
-                Side::Event => {
-                    let p = self.event_pos[c.v.index()] as usize;
-                    self.event_gen[p] == c.gen
-                }
+                Side::Event => self.event_gen[pos] == c.gen,
                 Side::User => self.user_gen[c.u.index()] == c.gen,
             };
             if !live {
@@ -461,7 +771,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             }
             // consume the side's slot
             match c.side {
-                Side::Event => self.event_best[self.event_pos[c.v.index()] as usize] = None,
+                Side::Event => self.event_best[pos] = None,
                 Side::User => self.user_best[c.u.index()] = None,
             }
             let mut lc = LocalCounters::new();
@@ -472,6 +782,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                     .assign(self.inst, c.u, c.v)
                     .expect("pair validated as assignable");
                 self.occ.set(c.u, c.v);
+                self.lists.log(c.u);
                 if self.probe.enabled() {
                     self.probe.record("ratio_greedy.accepted_inc", inc.as_f64());
                 }
@@ -480,50 +791,16 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 false
             };
             // lines 12-14 & 19-20: new best pair for the popped event and user
-            self.refresh_event(c.v);
+            self.refresh_event(pos);
             self.refresh_user(c.u);
             if added {
                 // lines 15-18: u's schedule changed, so every heap pair
                 // incident to u may have a different inc_cost — recompute
                 // the events whose current best user is u
-                let incident: Vec<(u32, EventId)> = self
-                    .event_best
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| match b {
-                        Some((bu, _, _)) if *bu == c.u && self.events[i] != c.v => {
-                            Some((i as u32, self.events[i]))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if self.threads > 1 && incident.len() >= MIN_PAR_ITEMS {
-                    let (view, probe) = (self.view, self.probe);
-                    let occ = &self.occ;
-                    let planning: &Planning = self.planning;
-                    let scans = par_map_section(
-                        self.threads,
-                        "par.refresh_incident",
-                        probe,
-                        &incident,
-                        self.guard,
-                        LocalCounters::new,
-                        |lc, _, &(_, v)| scan_event(view, planning, occ, v, lc),
-                        |mut lc| lc.flush_into(probe),
-                    );
-                    for (k, scan) in scans.into_iter().enumerate() {
-                        let Some(best) = scan else { continue };
-                        let (pos, v) = incident[k];
-                        self.commit_event(pos as usize, v, best);
+                for i in 0..self.events.len() {
+                    if i != pos && self.event_best[i].is_some_and(|b| b.u == c.u) {
+                        self.refresh_event(i);
                     }
-                } else {
-                    let probe = self.probe;
-                    with_span(probe, "par.refresh_incident", || {
-                        probe.count(Counter::ParSection, 1);
-                        for &(_, v) in &incident {
-                            self.refresh_event(v);
-                        }
-                    });
                 }
                 // and the user-side entries offering the now-possibly-full
                 // event v are handled lazily: they fail `pair_inc` on pop
@@ -563,6 +840,9 @@ pub(crate) fn run_ratio_greedy(
 mod tests {
     use super::*;
     use usep_core::{InstanceBuilder, Point, TimeInterval};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use usep_gen::{generate, SyntheticConfig};
 
     fn iv(a: i64, b: i64) -> TimeInterval {
         TimeInterval::new(a, b).unwrap()
@@ -714,6 +994,68 @@ mod tests {
         assert_eq!(p1, p2, "deterministic");
         assert!(p1.validate(&inst).is_ok());
         assert!(p1.num_assignments() > 0);
+    }
+
+    #[test]
+    fn cached_answers_equal_full_scans_and_both_rescan_triggers_fire() {
+        // lists over the even events only, so the odd ones can change
+        // schedules without using list events' capacity; capacities above
+        // K_MIN and at least eight users per list slot
+        let cfg = SyntheticConfig::tiny()
+            .with_events(48)
+            .with_users(480)
+            .with_capacity_mean(24);
+        let inst = generate(&cfg, 1);
+        let flat = inst.freeze();
+        let view = &*flat;
+        let (events, others): (Vec<EventId>, Vec<EventId>) =
+            inst.event_ids().partition(|v| v.index() % 2 == 0);
+        let mut planning = Planning::empty(&inst);
+        let mut occ = Occupancy::from_planning(inst.num_events(), &planning);
+        let mut lists = EventLists::new(view, &planning, &events);
+        assert!(lists.slots.iter().all(|s| (K_MIN..=K_MAX).contains(&s.cap)));
+        let mut full = vec![Pick::EMPTY; inst.num_users()];
+        let mut lc = LocalCounters::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        for step in 0..6000 {
+            let pos = rng.gen_range(0..events.len());
+            let v = events[pos];
+            let cached = lists.best_user(view, &planning, &occ, pos, v, &mut lc);
+            let (len, _) = scan_event(view, &planning, &occ, v, &mut full, &mut lc);
+            let key = |p: Pick| (p.u, p.ratio.to_bits(), p.inc);
+            assert_eq!(cached.map(key), full[..len].first().copied().map(key), "step {step}");
+            // the answer takes the event (its list head leaves), or another
+            // event outside the lists (its keys move or turn invalid)
+            let Some(p) = cached else { continue };
+            let w = if rng.gen_bool(0.5) { v } else { others[rng.gen_range(0..others.len())] };
+            if pair_inc(view, &planning, &occ, w, p.u, &mut lc).is_some() {
+                planning.assign(&inst, p.u, w).expect("valid pair");
+                occ.set(p.u, w);
+                lists.log(p.u);
+            }
+        }
+        let rescans = &lists.rescans;
+        assert!(rescans.dry > 0, "no list ran dry: {rescans:?}");
+        assert!(rescans.overtaken > 0, "no floor overtook a list head: {rescans:?}");
+    }
+
+    #[test]
+    fn an_unscanned_event_is_scanned_rather_than_read_as_empty() {
+        // a guard trip can skip an event's seed scan; its first refresh
+        // must find the full scan's best user, not an empty list
+        let inst = generate(&SyntheticConfig::tiny(), 5);
+        let events: Vec<EventId> = inst.event_ids().collect();
+        let planning = Planning::empty(&inst);
+        let occ = Occupancy::from_planning(inst.num_events(), &planning);
+        let mut lists = EventLists::new(&inst, &planning, &events);
+        let mut lc = LocalCounters::new();
+        for (pos, &v) in events.iter().enumerate() {
+            let mut full = vec![Pick::EMPTY; inst.num_users()];
+            let (len, _) = scan_event(&inst, &planning, &occ, v, &mut full, &mut lc);
+            let cached = lists.best_user(&inst, &planning, &occ, pos, v, &mut lc);
+            assert_eq!(cached.map(|p| p.u), full[..len].first().map(|p| p.u), "event {v:?}");
+            assert!(lists.slots[pos].scanned || len == 0);
+        }
     }
 
     #[test]

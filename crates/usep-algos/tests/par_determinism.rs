@@ -1,9 +1,9 @@
 //! The core contract of `usep-par`: thread count is invisible in every
 //! output. Solvers, local search and the relaxation bounds must produce
 //! **byte-identical** results at 1, 2 and 8 threads — on this suite's
-//! instances the parallel seeding / refresh / move-evaluation paths are
-//! genuinely exercised (sizes cross the `MIN_PAR_ITEMS` threshold), so
-//! a scheduling-dependent reduction or commit order would fail here.
+//! instances the parallel seeding / move-evaluation paths are genuinely
+//! exercised (sizes cross the `MIN_PAR_ITEMS` threshold), so a
+//! scheduling-dependent reduction or commit order would fail here.
 //!
 //! The thread count is a process-global override, so every test holds
 //! `THREADS_LOCK` while flipping it and restores the default before
@@ -30,8 +30,9 @@ fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// An instance big enough that RatioGreedy's seed/refresh scans and the
-/// local-search rounds all take their parallel paths.
+/// An instance big enough that RatioGreedy's seed scans and the
+/// local-search rounds take their parallel paths. (RatioGreedy's
+/// per-pop refreshes are always sequential.)
 fn large_instance(seed: u64) -> Instance {
     generate(
         &SyntheticConfig::tiny().with_events(40).with_users(64).with_capacity_mean(4),

@@ -1,7 +1,7 @@
 //! Scaling of the `usep-par` fork-join sections with thread count.
 //!
-//! Times the three parallel solver hot paths — RatioGreedy (seed +
-//! incident refresh), the capacity-relaxed bound's per-user DPs, and a
+//! Times the three parallel solver hot paths — RatioGreedy (its seed
+//! scan), the capacity-relaxed bound's per-user DPs, and a
 //! local-search polish — at 1, 2 and 4 threads on one instance. The
 //! plannings are bit-identical at every count (see
 //! `tests/par_determinism.rs`), so any time difference is pure
@@ -11,9 +11,10 @@
 //! readable summary (median ns per section per thread count, plus the
 //! 4-thread speedup) to `BENCH_par.json` at the workspace root — path
 //! overridable via the `BENCH_PAR_JSON` environment variable — so CI
-//! can track the
-//! parallel-speedup trajectory across commits. On a single-core runner
-//! the speedups sit near (or below) 1×; the export happens regardless.
+//! can track the parallel-speedup trajectory across commits. On a host
+//! with fewer than four hardware threads the four workers time-share
+//! the cores, so the export writes `"speedup_4t": null` with a
+//! `"reason"` instead of a number that says nothing about scaling.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -82,6 +83,7 @@ fn median_ns(run: &dyn Fn() -> f64, samples: usize) -> u64 {
 
 fn export_summary() {
     let inst = bench_instance();
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut entries = Vec::new();
     for (name, run) in sections(&inst) {
         let mut medians = Vec::new();
@@ -97,17 +99,24 @@ fn export_summary() {
             .iter()
             .map(|(t, ns)| format!("{{\"threads\":{t},\"median_ns\":{ns}}}"))
             .collect();
+        let speedup = if hardware_threads >= 4 {
+            format!("\"speedup_4t\":{:.3}", t1 / t4)
+        } else {
+            format!(
+                "\"speedup_4t\":null,\"reason\":\"{hardware_threads} hardware thread(s): \
+                 4 workers time-share them, so t1/t4 measures no scaling\""
+            )
+        };
         entries.push(format!(
-            "{{\"section\":\"{name}\",\"runs\":[{}],\"speedup_4t\":{:.3}}}",
-            per_thread.join(","),
-            t1 / t4
+            "{{\"section\":\"{name}\",\"runs\":[{}],{speedup}}}",
+            per_thread.join(",")
         ));
     }
     let json = format!(
         "{{\"bench\":\"par_scaling\",\"events\":{},\"users\":{},\"hardware_threads\":{},\"sections\":[{}]}}\n",
         inst.num_events(),
         inst.num_users(),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        hardware_threads,
         entries.join(",")
     );
     // `BENCH_PAR_JSON` overrides; the default resolves to the workspace

@@ -256,6 +256,9 @@ fn run_sweep(
     for (pi, p) in points.iter().enumerate() {
         let t0 = Instant::now();
         let inst = (p.make)(seed.wrapping_add(pi as u64));
+        // lower the flat view now: it is input data every solver shares,
+        // not time or memory of whichever solver happens to run first
+        inst.freeze();
         eprintln!(
             "   [{}={}] generated |V|={} |U|={} cr={:.3} in {:.1}s",
             x_label,

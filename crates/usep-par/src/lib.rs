@@ -2,11 +2,13 @@
 //!
 //! The paper's scalability figures (Figs. 2–4) measure running time as
 //! the headline axis, and the hot paths they exercise — RatioGreedy's
-//! `O(|U|·|V|)` heap seeding and incident-pair refreshes, the per-user
-//! DPs of the capacity-relaxed bound, local-search move evaluation,
-//! experiment fan-out — are all embarrassingly parallel *scans* whose
-//! results feed a sequential commit step. This crate supplies exactly
-//! that shape and nothing more:
+//! `O(|U|·|V|)` heap seeding, the per-user DPs of the capacity-relaxed
+//! bound, local-search move evaluation, experiment fan-out — are all
+//! embarrassingly parallel *scans* whose results feed a sequential
+//! commit step. (RatioGreedy's per-pop refreshes are not among them:
+//! each re-probes only the few users whose schedules changed since the
+//! event's last refresh, far below what a fork-join section repays.)
+//! This crate supplies exactly that shape and nothing more:
 //!
 //! * [`par_map`] / [`par_map_init`] — a scoped fork-join map over a
 //!   slice. Work is distributed as contiguous index chunks through a
