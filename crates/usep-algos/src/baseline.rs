@@ -8,8 +8,10 @@
 //! event, and the round trip must fit the budget. Comparing its Ω against
 //! the USEP algorithms quantifies the value of multi-event planning.
 
-use crate::Solver;
+use crate::{GuardedSolve, Solver};
 use usep_core::{EventId, Instance, Planning, UserId};
+use usep_guard::{Guard, SolveOutcome};
+use usep_trace::Probe;
 
 /// Greedy one-event-per-user assignment (SEO-style comparison baseline).
 #[derive(Clone, Copy, Debug, Default)]
@@ -20,7 +22,7 @@ impl Solver for SingleEventGreedy {
         "SingleEvent"
     }
 
-    fn solve(&self, inst: &Instance) -> Planning {
+    fn solve_guarded(&self, inst: &Instance, _: &Guard, _: &dyn Probe) -> GuardedSolve {
         let mut pairs: Vec<(EventId, UserId)> = Vec::new();
         for u in inst.user_ids() {
             for v in inst.event_ids() {
@@ -44,7 +46,7 @@ impl Solver for SingleEventGreedy {
             planning.assign(inst, u, v).expect("validated single-event assignment");
             user_served[u.index()] = true;
         }
-        planning
+        GuardedSolve { planning, outcome: SolveOutcome::Complete }
     }
 }
 
@@ -61,7 +63,7 @@ impl Solver for UtilityGreedy {
         "UtilityGreedy"
     }
 
-    fn solve(&self, inst: &Instance) -> Planning {
+    fn solve_guarded(&self, inst: &Instance, _: &Guard, _: &dyn Probe) -> GuardedSolve {
         let mut pairs: Vec<(EventId, UserId)> = Vec::new();
         for u in inst.user_ids() {
             for v in inst.event_ids() {
@@ -80,7 +82,7 @@ impl Solver for UtilityGreedy {
             // best-effort insertion in utility order, all constraints on
             let _ = planning.assign(inst, u, v);
         }
-        planning
+        GuardedSolve { planning, outcome: SolveOutcome::Complete }
     }
 }
 

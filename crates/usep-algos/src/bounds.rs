@@ -17,7 +17,7 @@
 //! `Ω(A*)` from above; [`best_upper_bound`] takes their minimum.
 
 use crate::dedp::{optimal_user_schedule_with, DpScheduler};
-use usep_core::{CoreView, EventId, Instance, UserId};
+use usep_core::{EventId, FlatInstance, Instance, UserId};
 use usep_guard::Guard;
 use usep_par::{current_threads, par_map_section};
 use usep_trace::{Probe, NOOP};
@@ -39,21 +39,7 @@ pub fn capacity_relaxed_bound(inst: &Instance) -> f64 {
 /// runs as an observable `par.capacity_relaxed_bound` section, so a
 /// request-scoped probe attributes the DP scan to its request.
 pub fn capacity_relaxed_bound_with(inst: &Instance, probe: &dyn Probe) -> f64 {
-    // view choice is made once per bound computation, on the calling
-    // thread; workers borrow the shared read-only view
-    if usep_core::object_path_forced() {
-        capacity_relaxed_bound_on(inst, inst, probe)
-    } else {
-        let flat = inst.freeze();
-        capacity_relaxed_bound_on(inst, &*flat, probe)
-    }
-}
-
-fn capacity_relaxed_bound_on<V: CoreView + Sync>(
-    inst: &Instance,
-    view: &V,
-    probe: &dyn Probe,
-) -> f64 {
+    let flat = inst.freeze();
     let users: Vec<UserId> = inst.user_ids().collect();
     par_map_section(
         current_threads(),
@@ -62,7 +48,7 @@ fn capacity_relaxed_bound_on<V: CoreView + Sync>(
         &users,
         Guard::none(),
         DpScheduler::new,
-        |ws, _, &u| optimal_user_utility_with(ws, view, u),
+        |ws, _, &u| optimal_user_utility_with(ws, &flat, u),
         |_| (),
     )
     .into_iter()
@@ -72,11 +58,11 @@ fn capacity_relaxed_bound_on<V: CoreView + Sync>(
 
 /// The DP-optimal schedule utility of one user, ignoring capacities.
 pub fn optimal_user_utility(inst: &Instance, u: UserId) -> f64 {
-    optimal_user_utility_with(&mut DpScheduler::new(), inst, u)
+    optimal_user_utility_with(&mut DpScheduler::new(), &inst.freeze(), u)
 }
 
-fn optimal_user_utility_with<V: CoreView>(ws: &mut DpScheduler<'_>, view: &V, u: UserId) -> f64 {
-    let mu_row = view.mu_row(u);
+fn optimal_user_utility_with(ws: &mut DpScheduler<'_>, flat: &FlatInstance, u: UserId) -> f64 {
+    let mu_row = flat.mu_row(u);
     let cands: Vec<(EventId, f64)> = mu_row
         .iter()
         .enumerate()
@@ -89,7 +75,7 @@ fn optimal_user_utility_with<V: CoreView>(ws: &mut DpScheduler<'_>, view: &V, u:
             }
         })
         .collect();
-    optimal_user_schedule_with(ws, view, u, &cands).1
+    optimal_user_schedule_with(ws, flat, u, &cands).1
 }
 
 /// Upper bound from dropping budgets and time conflicts: each event

@@ -15,11 +15,11 @@
 //! identical plannings at a fraction of the footprint.
 
 use super::{
-    build_planning_from_holders, Candidate, DpScheduler, Lemma1Row, PseudoLayout,
+    build_planning_from_holders, Candidate, DpScheduler, PseudoLayout,
     SingleScheduler,
 };
 use crate::{finish_guarded, GuardedSolve, Solver};
-use usep_core::{CoreView, EventId, Instance, Planning, UserId};
+use usep_core::{EventId, Instance, UserId};
 use usep_guard::Guard;
 use usep_trace::{with_span, Counter, Probe};
 
@@ -41,123 +41,105 @@ impl Solver for DeDP {
         "DeDP"
     }
 
-    fn solve_with_probe(&self, inst: &Instance, probe: &dyn Probe) -> Planning {
-        self.solve_guarded(inst, Guard::none(), probe).planning
-    }
-
     fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
-        // view choice is made once per solve, on the calling thread
-        if usep_core::object_path_forced() {
-            solve_guarded_with(inst, inst, guard, probe)
-        } else {
-            let flat = inst.freeze();
-            solve_guarded_with(inst, &*flat, guard, probe)
+        let flat = inst.freeze();
+        let nu = inst.num_users();
+        let layout = PseudoLayout::new(inst);
+        let total = layout.total();
+
+        // The μ^r matrix dominates DeDP's footprint; charge it against
+        // the ceiling before allocating. On refusal there is no valid
+        // prefix to salvage (no user has been scheduled), so the result
+        // is the empty planning, truncated.
+        let matrix_bytes = layout.mu_matrix_bytes(nu);
+        if !guard.try_reserve(matrix_bytes) {
+            let planning = build_planning_from_holders(inst, &layout, &vec![0u32; total]);
+            return GuardedSolve { planning, outcome: finish_guarded(guard, probe) };
         }
-    }
-}
 
-fn solve_guarded_with<V: CoreView>(
-    inst: &Instance,
-    view: &V,
-    guard: &Guard,
-    probe: &dyn Probe,
-) -> GuardedSolve {
-    let nu = inst.num_users();
-    let layout = PseudoLayout::new(inst);
-    let total = layout.total();
-
-    // The μ^r matrix dominates DeDP's footprint; charge it against
-    // the ceiling before allocating. On refusal there is no valid
-    // prefix to salvage (no user has been scheduled), so the result
-    // is the empty planning, truncated.
-    let matrix_bytes = layout.mu_matrix_bytes(nu);
-    if !guard.try_reserve(matrix_bytes) {
-        let planning = build_planning_from_holders(inst, &layout, &vec![0u32; total]);
-        return GuardedSolve { planning, outcome: finish_guarded(guard, probe) };
-    }
-
-    // μ^r, pseudo-major: mu_m[p * |U| + u]. Row updates (the chosen
-    // pseudo-events, subtracted across all later users) are then
-    // contiguous.
-    probe.count(Counter::PseudoMatrixBytes, matrix_bytes as u64);
-    let mut mu_m = vec![0.0f64; total * nu];
-    for v in inst.event_ids() {
-        for p in layout.slots(v) {
-            for u in 0..nu {
-                mu_m[p * nu + u] = view.mu(v, UserId(u as u32));
-            }
-        }
-    }
-
-    // step 1: Ŝ_{u_r} per user, as (slot, event) pairs in time order
-    let mut hat: Vec<Vec<u32>> = Vec::with_capacity(nu);
-    let mut scheduler = DpScheduler::with_guard(probe, guard);
-    let order = inst.temporal().order();
-    let mut cands: Vec<Candidate> = Vec::with_capacity(inst.num_events());
-    let mut lemma1 = Lemma1Row::new(inst);
-
-    probe.span_enter("decomposed.step1");
-    for r in 0..nu {
-        // users scheduled so far form a valid prefix: stop between
-        // users when the budget runs out
-        if guard.checkpoint() {
-            break;
-        }
-        let u = UserId(r as u32);
-        probe.count(Counter::CandidateRefreshUser, 1);
-        lemma1.fill(view, u);
-        cands.clear();
-        for &vi in order {
-            let v = EventId(vi);
-            // v̂_i = argmax_k μ^r(v_{i,k}, u_r), ascending-k scan with
-            // strict improvement
-            let mut best_val = f64::NEG_INFINITY;
-            let mut best_slot = 0usize;
+        // μ^r, pseudo-major: mu_m[p * |U| + u]. Row updates (the chosen
+        // pseudo-events, subtracted across all later users) are then
+        // contiguous.
+        probe.count(Counter::PseudoMatrixBytes, matrix_bytes as u64);
+        let mut mu_m = vec![0.0f64; total * nu];
+        for v in inst.event_ids() {
             for p in layout.slots(v) {
-                let val = mu_m[p * nu + r];
-                if val > best_val {
-                    best_val = val;
-                    best_slot = p;
+                for u in 0..nu {
+                    mu_m[p * nu + u] = flat.mu(v, UserId(u as u32));
                 }
             }
-            if best_val > 0.0 && lemma1.passes(v) {
-                cands.push(Candidate { v, slot: best_slot as u32, mu: best_val });
-            }
         }
-        let chosen = scheduler.schedule(view, u, &cands);
-        let mut slots = Vec::with_capacity(chosen.len());
-        for &ci in &chosen {
-            let p = cands[ci].slot as usize;
-            let base = mu_m[p * nu + r];
-            for j in (r + 1)..nu {
-                mu_m[p * nu + j] -= base;
-            }
-            slots.push(p as u32);
-        }
-        // μ^{r+1}(v_{i,k}, u_r) = 0, ∀i, k
-        for p in 0..total {
-            mu_m[p * nu + r] = 0.0;
-        }
-        hat.push(slots);
-    }
-    probe.span_exit("decomposed.step1");
-    drop(mu_m);
-    guard.release(matrix_bytes);
 
-    // step 2: scan r = |U| .. 1, dropping pseudo-events already kept
-    // by a later user — equivalently, each slot stays with its last
-    // holder. `hat` may cover only a prefix of the users when the
-    // guard tripped; the resolution is unchanged.
-    let planning = with_span(probe, "decomposed.step2", || {
-        let mut holder = vec![0u32; total];
-        for (r, slots) in hat.iter().enumerate() {
-            for &p in slots {
-                holder[p as usize] = r as u32 + 1;
+        // step 1: Ŝ_{u_r} per user, as (slot, event) pairs in time order
+        let mut hat: Vec<Vec<u32>> = Vec::with_capacity(nu);
+        let mut scheduler = DpScheduler::with_guard(probe, guard);
+        let order = inst.temporal().order();
+        let mut cands: Vec<Candidate> = Vec::with_capacity(inst.num_events());
+
+        probe.span_enter("decomposed.step1");
+        for r in 0..nu {
+            // users scheduled so far form a valid prefix: stop between
+            // users when the budget runs out
+            if guard.checkpoint() {
+                break;
             }
+            let u = UserId(r as u32);
+            probe.count(Counter::CandidateRefreshUser, 1);
+            // Lemma 1 prunes events whose lone round trip busts the budget
+            let (round_trips, budget) = (flat.round_trip_row(u), flat.budget(u));
+            cands.clear();
+            for &vi in order {
+                let v = EventId(vi);
+                // v̂_i = argmax_k μ^r(v_{i,k}, u_r), ascending-k scan with
+                // strict improvement
+                let mut best_val = f64::NEG_INFINITY;
+                let mut best_slot = 0usize;
+                for p in layout.slots(v) {
+                    let val = mu_m[p * nu + r];
+                    if val > best_val {
+                        best_val = val;
+                        best_slot = p;
+                    }
+                }
+                if best_val > 0.0 && round_trips[vi as usize] <= budget {
+                    cands.push(Candidate { v, slot: best_slot as u32, mu: best_val });
+                }
+            }
+            let chosen = scheduler.schedule(&flat, u, &cands);
+            let mut slots = Vec::with_capacity(chosen.len());
+            for &ci in &chosen {
+                let p = cands[ci].slot as usize;
+                let base = mu_m[p * nu + r];
+                for j in (r + 1)..nu {
+                    mu_m[p * nu + j] -= base;
+                }
+                slots.push(p as u32);
+            }
+            // μ^{r+1}(v_{i,k}, u_r) = 0, ∀i, k
+            for p in 0..total {
+                mu_m[p * nu + r] = 0.0;
+            }
+            hat.push(slots);
         }
-        build_planning_from_holders(inst, &layout, &holder)
-    });
-    GuardedSolve { planning, outcome: finish_guarded(guard, probe) }
+        probe.span_exit("decomposed.step1");
+        drop(mu_m);
+        guard.release(matrix_bytes);
+
+        // step 2: scan r = |U| .. 1, dropping pseudo-events already kept
+        // by a later user — equivalently, each slot stays with its last
+        // holder. `hat` may cover only a prefix of the users when the
+        // guard tripped; the resolution is unchanged.
+        let planning = with_span(probe, "decomposed.step2", || {
+            let mut holder = vec![0u32; total];
+            for (r, slots) in hat.iter().enumerate() {
+                for &p in slots {
+                    holder[p as usize] = r as u32 + 1;
+                }
+            }
+            build_planning_from_holders(inst, &layout, &holder)
+        });
+        GuardedSolve { planning, outcome: finish_guarded(guard, probe) }
+    }
 }
 
 #[cfg(test)]

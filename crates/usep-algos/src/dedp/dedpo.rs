@@ -13,12 +13,12 @@
 //! [`DeGreedy`](crate::DeGreedy) reuses it with the greedy of Alg. 5.
 
 use super::{
-    build_planning_from_holders, Candidate, DpScheduler, Lemma1Row, PseudoLayout,
+    build_planning_from_holders, Candidate, DpScheduler, PseudoLayout,
     SingleScheduler,
 };
 use crate::augment::augment_with_ratio_greedy_guarded;
 use crate::{finish_guarded, GuardedSolve, Solver};
-use usep_core::{CoreView, EventId, Instance, Planning, UserId};
+use usep_core::{EventId, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_trace::{with_span, Counter, Probe};
 
@@ -52,19 +52,9 @@ impl Solver for DeDPO {
         }
     }
 
-    fn solve_with_probe(&self, inst: &Instance, probe: &dyn Probe) -> Planning {
-        self.solve_guarded(inst, Guard::none(), probe).planning
-    }
-
     fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
-        // view choice is made once per solve, on the calling thread
         let mut scheduler = DpScheduler::with_guard(probe, guard);
-        let mut planning = if usep_core::object_path_forced() {
-            decomposed_with_select(inst, inst, &mut scheduler, guard, probe)
-        } else {
-            let flat = inst.freeze();
-            decomposed_with_select(inst, &*flat, &mut scheduler, guard, probe)
-        };
+        let mut planning = decomposed_with_select(inst, &mut scheduler, guard, probe);
         if self.augment && !guard.is_tripped() {
             augment_with_ratio_greedy_guarded(inst, &mut planning, guard, probe);
         }
@@ -87,18 +77,17 @@ impl Solver for DeDPO {
 ///
 /// Step 2 of the framework — keep each slot with its last holder — is
 /// exactly what the final `select` array encodes.
-pub(crate) fn decomposed_with_select<V: CoreView>(
+pub(crate) fn decomposed_with_select(
     inst: &Instance,
-    view: &V,
     scheduler: &mut impl SingleScheduler,
     guard: &Guard,
     probe: &dyn Probe,
 ) -> Planning {
+    let flat = inst.freeze();
     let layout = PseudoLayout::new(inst);
     let mut select = vec![0u32; layout.total()];
     let order = inst.temporal().order();
     let mut cands: Vec<Candidate> = Vec::with_capacity(inst.num_events());
-    let mut lemma1 = Lemma1Row::new(inst);
 
     probe.span_enter("decomposed.step1");
     for r in 0..inst.num_users() as u32 {
@@ -111,8 +100,9 @@ pub(crate) fn decomposed_with_select<V: CoreView>(
         // building V'_r is the decomposed framework's per-user candidate
         // refresh (step 1 of Alg. 3/4)
         probe.count(Counter::CandidateRefreshUser, 1);
-        let mu_row = view.mu_row(u);
-        lemma1.fill(view, u);
+        let mu_row = flat.mu_row(u);
+        // Lemma 1 prunes events whose lone round trip busts the budget
+        let (round_trips, budget) = (flat.round_trip_row(u), flat.budget(u));
         cands.clear();
         for &vi in order {
             let v = EventId(vi);
@@ -126,18 +116,18 @@ pub(crate) fn decomposed_with_select<V: CoreView>(
             for p in layout.slots(v) {
                 let val = match select[p] {
                     0 => mu_vr,
-                    holder => mu_vr - view.mu(v, UserId(holder - 1)),
+                    holder => mu_vr - flat.mu(v, UserId(holder - 1)),
                 };
                 if val > best_val {
                     best_val = val;
                     best_slot = p;
                 }
             }
-            if best_val > 0.0 && lemma1.passes(v) {
+            if best_val > 0.0 && round_trips[vi as usize] <= budget {
                 cands.push(Candidate { v, slot: best_slot as u32, mu: best_val });
             }
         }
-        let chosen = scheduler.schedule(view, u, &cands);
+        let chosen = scheduler.schedule(&flat, u, &cands);
         for &ci in &chosen {
             select[cands[ci].slot as usize] = r + 1;
         }

@@ -14,7 +14,7 @@
 //! actually touched, so a sparse run stays cheap.
 
 use super::{Candidate, SingleScheduler};
-use usep_core::{CoreView, UserId};
+use usep_core::{FlatInstance, UserId};
 use usep_guard::{Guard, TruncationReason};
 use usep_trace::{Counter, Probe, NOOP};
 
@@ -69,8 +69,8 @@ impl<'p> DpScheduler<'p> {
 }
 
 impl SingleScheduler for DpScheduler<'_> {
-    fn schedule<V: CoreView>(&mut self, view: &V, u: UserId, cands: &[Candidate]) -> Vec<usize> {
-        dp_single(self, view, u, cands)
+    fn schedule(&mut self, flat: &FlatInstance, u: UserId, cands: &[Candidate]) -> Vec<usize> {
+        dp_single(self, flat, u, cands)
     }
 }
 
@@ -78,9 +78,9 @@ impl SingleScheduler for DpScheduler<'_> {
 /// utilities strictly positive, Lemma 1 pre-applied). Returns the indices
 /// of the chosen candidates in time order; empty when no affordable
 /// candidate exists.
-pub(crate) fn dp_single<V: CoreView>(
+pub(crate) fn dp_single(
     ws: &mut DpScheduler<'_>,
-    view: &V,
+    flat: &FlatInstance,
     u: UserId,
     cands: &[Candidate],
 ) -> Vec<usize> {
@@ -88,7 +88,7 @@ pub(crate) fn dp_single<V: CoreView>(
     if m == 0 {
         return Vec::new();
     }
-    let budget = view.budget(u).value() as usize;
+    let budget = flat.budget(u).value() as usize;
     let stride = budget + 1;
     let cells = match m.checked_mul(stride).filter(|&c| c <= MAX_DP_CELLS) {
         Some(c) => c,
@@ -121,7 +121,7 @@ pub(crate) fn dp_single<V: CoreView>(
     ws.hi.clear();
     ws.hi.resize(m, 0);
     ws.ends.clear();
-    ws.ends.extend(cands.iter().map(|c| view.event_end(c.v)));
+    ws.ends.extend(cands.iter().map(|c| flat.event_end(c.v)));
     debug_assert!(ws.ends.windows(2).all(|w| w[0] <= w[1]), "candidates not in end-time order");
 
     let mut best_score = 0.0f64;
@@ -140,8 +140,8 @@ pub(crate) fn dp_single<V: CoreView>(
         let mu_i = cands[i].mu;
         debug_assert!(mu_i > 0.0);
         // both finite by the Lemma 1 filter (round trip ≤ budget)
-        let arrive = view.cost_to_event(u, vi).value() as usize;
-        let go_home = view.cost_from_event(vi, u).value() as usize;
+        let arrive = flat.cost_to_event(u, vi).value() as usize;
+        let go_home = flat.cost_from_event(vi, u).value() as usize;
         if arrive + go_home > budget {
             debug_assert!(false, "Lemma 1 filter should have removed this candidate");
             continue;
@@ -172,9 +172,9 @@ pub(crate) fn dp_single<V: CoreView>(
         }
 
         // transitions from candidates that end before v_i starts
-        let l_i = ws.ends[..i].partition_point(|&e| e <= view.event_start(vi));
+        let l_i = ws.ends[..i].partition_point(|&e| e <= flat.event_start(vi));
         for l in 0..l_i {
-            let Some(c) = view.cost_vv(cands[l].v, vi).finite_value() else {
+            let Some(c) = flat.cost_vv(cands[l].v, vi).finite_value() else {
                 continue;
             };
             let c = c as usize;
@@ -226,7 +226,7 @@ pub(crate) fn dp_single<V: CoreView>(
                 break;
             }
             let l = prev as usize;
-            let c = view
+            let c = flat
                 .cost_vv(cands[l].v, cands[i].v)
                 .value() as usize;
             t -= c;
@@ -295,14 +295,14 @@ mod tests {
     fn empty_candidates() {
         let (inst, _) = line(&[(1, 0, 1)], 10, &[0.5]);
         let mut ws = DpScheduler::new();
-        assert!(dp_single(&mut ws, &inst, UserId(0), &[]).is_empty());
+        assert!(dp_single(&mut ws, &inst.freeze(), UserId(0), &[]).is_empty());
     }
 
     #[test]
     fn single_affordable_event() {
         let (inst, cands) = line(&[(3, 0, 10)], 10, &[0.5]);
         let mut ws = DpScheduler::new();
-        let chosen = dp_single(&mut ws, &inst, UserId(0), &cands);
+        let chosen = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
         assert_eq!(chosen, vec![0]);
     }
 
@@ -314,7 +314,7 @@ mod tests {
             &[0.5, 0.5, 0.5],
         );
         let mut ws = DpScheduler::new();
-        let chosen = dp_single(&mut ws, &inst, UserId(0), &cands);
+        let chosen = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
         assert_eq!(chosen, vec![0, 1, 2]);
     }
 
@@ -323,7 +323,7 @@ mod tests {
         // two far-apart events, budget only allows one
         let (inst, cands) = line(&[(5, 0, 10), (-5, 20, 30)], 12, &[0.4, 0.9]);
         let mut ws = DpScheduler::new();
-        let chosen = dp_single(&mut ws, &inst, UserId(0), &cands);
+        let chosen = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
         // picks the higher-utility one
         assert_eq!(chosen.len(), 1);
         assert!((cands[chosen[0]].mu - 0.9).abs() < 1e-12);
@@ -338,7 +338,7 @@ mod tests {
             &[0.4, 0.4, 0.7],
         );
         let mut ws = DpScheduler::new();
-        let chosen = dp_single(&mut ws, &inst, UserId(0), &cands);
+        let chosen = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
         let s = score(&inst, &cands, &chosen);
         assert!((s - 0.8).abs() < 1e-12, "got {s}");
     }
@@ -351,8 +351,8 @@ mod tests {
             &[0.5, 0.5, 0.5],
         );
         let mut ws = DpScheduler::new();
-        let a = dp_single(&mut ws, &inst, UserId(0), &cands);
-        let b = dp_single(&mut ws, &inst, UserId(0), &cands);
+        let a = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
+        let b = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
         assert_eq!(a, b);
         assert!(ws.omega.iter().all(|&x| x == 0.0), "workspace left dirty");
     }
@@ -374,7 +374,7 @@ mod tests {
         for budget in [8u32, 15, 25, 40, 80] {
             let (inst, cands) = line(&events, budget, &mus);
             let mut ws = DpScheduler::new();
-            let chosen = dp_single(&mut ws, &inst, UserId(0), &cands);
+            let chosen = dp_single(&mut ws, &inst.freeze(), UserId(0), &cands);
             let got = score(&inst, &cands, &chosen);
             let pairs: Vec<(EventId, f64)> = cands.iter().map(|c| (c.v, c.mu)).collect();
             let (_, want) = optimal_single_schedule(&inst, UserId(0), &pairs);
@@ -393,7 +393,7 @@ mod tests {
         b.utility(v, u, 0.6);
         let inst = b.build().unwrap();
         let mut ws = DpScheduler::new();
-        let chosen = dp_single(&mut ws, &inst, UserId(0), &[cand(v, 0.6)]);
+        let chosen = dp_single(&mut ws, &inst.freeze(), UserId(0), &[cand(v, 0.6)]);
         assert_eq!(chosen, vec![0]);
     }
 }

@@ -33,7 +33,7 @@ pub use dedpo::DeDPO;
 pub(crate) use dedpo::decomposed_with_select;
 pub(crate) use dp_single::DpScheduler;
 
-use usep_core::{CoreView, Cost, EventId, Instance, Planning, Schedule, UserId};
+use usep_core::{EventId, FlatInstance, Instance, Planning, Schedule, UserId};
 
 /// A candidate pseudo-event offered to the single-user subproblem:
 /// event `v`, the global index of the chosen pseudo-event slot, and the
@@ -49,11 +49,9 @@ pub(crate) struct Candidate {
 /// end-time order, return the indices of the chosen ones (in time order).
 ///
 /// Implemented by the DP of Alg. 2 ([`DpScheduler`]) and the greedy of
-/// Alg. 5 (`GreedyScheduler` in [`crate::degreedy`]). Generic over the
-/// instance view so the decomposed drivers run the same code against the
-/// object path and the flat SoA path.
+/// Alg. 5 (`GreedyScheduler` in [`crate::degreedy`]).
 pub(crate) trait SingleScheduler {
-    fn schedule<V: CoreView>(&mut self, view: &V, u: UserId, cands: &[Candidate]) -> Vec<usize>;
+    fn schedule(&mut self, flat: &FlatInstance, u: UserId, cands: &[Candidate]) -> Vec<usize>;
 }
 
 /// Unit-capacity pseudo-event layout: event `i` owns the global slot
@@ -118,38 +116,8 @@ impl PseudoLayout {
 /// Lemma 1 filter: an event whose lone round trip exceeds the budget can
 /// never appear in a valid schedule (triangle inequality).
 #[inline]
-pub(crate) fn passes_lemma1<V: CoreView>(view: &V, u: UserId, v: EventId) -> bool {
-    view.round_trip(u, v) <= view.budget(u)
-}
-
-/// The Lemma-1 filter as a precomputed row: one `round_trip` evaluation
-/// per event when [`Lemma1Row::fill`] switches to a user, then pure
-/// lookups during the candidate scan. The buffer is allocated once per
-/// solve and reused across all `|U|` users, so the step-1 loops of
-/// DeDP/DeDPO/DeGreedy never recompute travel geometry inside the scan.
-pub(crate) struct Lemma1Row {
-    rt: Vec<Cost>,
-    budget: Cost,
-}
-
-impl Lemma1Row {
-    pub fn new(inst: &Instance) -> Lemma1Row {
-        Lemma1Row { rt: vec![Cost::new(0); inst.num_events()], budget: Cost::new(0) }
-    }
-
-    /// Recomputes the row for user `u`.
-    pub fn fill<V: CoreView>(&mut self, view: &V, u: UserId) {
-        self.budget = view.budget(u);
-        for (vi, slot) in self.rt.iter_mut().enumerate() {
-            *slot = view.round_trip(u, EventId(vi as u32));
-        }
-    }
-
-    /// `passes_lemma1` for the filled user, as a table lookup.
-    #[inline]
-    pub fn passes(&self, v: EventId) -> bool {
-        self.rt[v.index()] <= self.budget
-    }
+pub(crate) fn passes_lemma1(flat: &FlatInstance, u: UserId, v: EventId) -> bool {
+    flat.round_trip(u, v) <= flat.budget(u)
 }
 
 /// The utility-optimal feasible schedule for a *single* user (Algorithm
@@ -167,35 +135,35 @@ pub fn optimal_user_schedule(
     candidates: &[(EventId, f64)],
 ) -> (Vec<EventId>, f64) {
     let mut ws = DpScheduler::new();
-    optimal_user_schedule_with(&mut ws, inst, u, candidates)
+    optimal_user_schedule_with(&mut ws, &inst.freeze(), u, candidates)
 }
 
 /// [`optimal_user_schedule`] against a caller-owned workspace, so a
 /// loop over many users (the capacity-relaxed bound's hot path) reuses
 /// one DP table instead of reallocating it per user.
-pub(crate) fn optimal_user_schedule_with<V: CoreView>(
+pub(crate) fn optimal_user_schedule_with(
     ws: &mut DpScheduler<'_>,
-    view: &V,
+    flat: &FlatInstance,
     u: UserId,
     candidates: &[(EventId, f64)],
 ) -> (Vec<EventId>, f64) {
     let mut idx: Vec<usize> = (0..candidates.len()).collect();
     idx.sort_by_key(|&i| {
         let v = candidates[i].0;
-        (view.event_end(v), view.event_start(v), v)
+        (flat.event_end(v), flat.event_start(v), v)
     });
     let cands: Vec<Candidate> = idx
         .into_iter()
         .filter_map(|i| {
             let (v, mu) = candidates[i];
-            if mu > 0.0 && passes_lemma1(view, u, v) {
+            if mu > 0.0 && passes_lemma1(flat, u, v) {
                 Some(Candidate { v, slot: 0, mu })
             } else {
                 None
             }
         })
         .collect();
-    let chosen = ws.schedule(view, u, &cands);
+    let chosen = ws.schedule(flat, u, &cands);
     let score = chosen.iter().map(|&c| cands[c].mu).sum();
     (chosen.into_iter().map(|c| cands[c].v).collect(), score)
 }
@@ -275,9 +243,9 @@ mod tests {
         let u1 = b.user(Point::ORIGIN, Cost::new(19));
         b.utility(v, u0, 0.5);
         b.utility(v, u1, 0.5);
-        let inst = b.build().unwrap();
-        assert!(passes_lemma1(&inst, u0, v));
-        assert!(!passes_lemma1(&inst, u1, v));
+        let flat = b.build().unwrap().freeze();
+        assert!(passes_lemma1(&flat, u0, v));
+        assert!(!passes_lemma1(&flat, u1, v));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::dedp::{decomposed_with_select, Candidate, SingleScheduler};
 use crate::{finish_guarded, GuardedSolve, Solver};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use usep_core::{CoreView, Cost, Instance, Planning, Schedule, UserId};
+use usep_core::{Cost, FlatInstance, Instance, Schedule, UserId};
 use usep_guard::Guard;
 use usep_trace::{Counter, Probe};
 
@@ -54,19 +54,9 @@ impl Solver for DeGreedy {
         }
     }
 
-    fn solve_with_probe(&self, inst: &Instance, probe: &dyn Probe) -> Planning {
-        self.solve_guarded(inst, Guard::none(), probe).planning
-    }
-
     fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
-        // view choice is made once per solve, on the calling thread
         let mut scheduler = GreedyScheduler { probe, guard };
-        let mut planning = if usep_core::object_path_forced() {
-            decomposed_with_select(inst, inst, &mut scheduler, guard, probe)
-        } else {
-            let flat = inst.freeze();
-            decomposed_with_select(inst, &*flat, &mut scheduler, guard, probe)
-        };
+        let mut planning = decomposed_with_select(inst, &mut scheduler, guard, probe);
         if self.augment && !guard.is_tripped() {
             augment_with_ratio_greedy_guarded(inst, &mut planning, guard, probe);
         }
@@ -82,8 +72,8 @@ pub(crate) struct GreedyScheduler<'p> {
 }
 
 impl SingleScheduler for GreedyScheduler<'_> {
-    fn schedule<V: CoreView>(&mut self, view: &V, u: UserId, cands: &[Candidate]) -> Vec<usize> {
-        greedy_single_guarded(view, u, cands, self.guard, self.probe)
+    fn schedule(&mut self, flat: &FlatInstance, u: UserId, cands: &[Candidate]) -> Vec<usize> {
+        greedy_single_guarded(flat, u, cands, self.guard, self.probe)
     }
 }
 
@@ -123,19 +113,19 @@ impl PartialOrd for GapCand {
 /// order (decomposed utilities positive, Lemma 1 pre-applied). Returns
 /// chosen candidate indices in time order.
 #[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn greedy_single<V: CoreView>(
-    view: &V,
+pub(crate) fn greedy_single(
+    flat: &FlatInstance,
     u: UserId,
     cands: &[Candidate],
     probe: &dyn Probe,
 ) -> Vec<usize> {
-    greedy_single_guarded(view, u, cands, Guard::none(), probe)
+    greedy_single_guarded(flat, u, cands, Guard::none(), probe)
 }
 
 /// [`greedy_single`] polling `guard` once per heap pop; the chosen
 /// prefix at any stop is a feasible schedule.
-pub(crate) fn greedy_single_guarded<V: CoreView>(
-    view: &V,
+pub(crate) fn greedy_single_guarded(
+    flat: &FlatInstance,
     u: UserId,
     cands: &[Candidate],
     guard: &Guard,
@@ -145,7 +135,7 @@ pub(crate) fn greedy_single_guarded<V: CoreView>(
     if m == 0 {
         return Vec::new();
     }
-    let budget = view.budget(u);
+    let budget = flat.budget(u);
     let mut sched = Schedule::new();
     let mut chosen: Vec<usize> = Vec::new(); // ascending candidate indices
     let mut total = Cost::ZERO;
@@ -157,10 +147,10 @@ pub(crate) fn greedy_single_guarded<V: CoreView>(
         let mut best: Option<GapCand> = None;
         let hi = hi.min(m - 1);
         for (off, c) in cands[lo..=hi].iter().enumerate() {
-            let Some(pos) = sched.insertion_point(view, c.v) else {
+            let Some(pos) = sched.insertion_point(flat, c.v) else {
                 continue;
             };
-            let inc = sched.inc_cost_at(view, u, c.v, pos);
+            let inc = sched.inc_cost_at(flat, u, c.v, pos);
             if inc.is_infinite() || total.add(inc) > budget {
                 if !inc.is_infinite() {
                     probe.count(Counter::BudgetReject, 1);
@@ -188,11 +178,11 @@ pub(crate) fn greedy_single_guarded<V: CoreView>(
         // re-validate against the *current* budget: an insertion into a
         // different region may have consumed it (inc is still exact — the
         // entry's own region cannot have changed while it sat in H)
-        let Some(pos) = sched.insertion_point(view, cands[c.idx].v) else {
+        let Some(pos) = sched.insertion_point(flat, cands[c.idx].v) else {
             debug_assert!(false, "region invariant violated: position vanished");
             continue;
         };
-        let inc = sched.inc_cost_at(view, u, cands[c.idx].v, pos);
+        let inc = sched.inc_cost_at(flat, u, cands[c.idx].v, pos);
         debug_assert_eq!(inc, c.inc, "inc went stale inside an untouched region");
         if inc.is_infinite() || total.add(inc) > budget {
             probe.count(Counter::HeapPopStale, 1);
@@ -204,7 +194,7 @@ pub(crate) fn greedy_single_guarded<V: CoreView>(
             continue;
         }
         sched
-            .try_insert(view, u, cands[c.idx].v)
+            .try_insert(flat, u, cands[c.idx].v)
             .expect("validated insertion");
         total = total.add(inc);
         let at = chosen.partition_point(|&x| x < c.idx);
@@ -246,7 +236,7 @@ mod tests {
         b.event(1, Point::ORIGIN, iv(0, 1));
         let u = b.user(Point::ORIGIN, Cost::new(10));
         let inst = b.build().unwrap();
-        assert!(greedy_single(&inst, u, &[], &NOOP).is_empty());
+        assert!(greedy_single(&inst.freeze(), u, &[], &NOOP).is_empty());
     }
 
     #[test]
@@ -261,7 +251,7 @@ mod tests {
         }
         let inst = b.build().unwrap();
         let chosen = greedy_single(
-            &inst,
+            &inst.freeze(),
             u,
             &[cand(v0, 0.5), cand(v1, 0.5), cand(v2, 0.5)],
             &NOOP,
@@ -284,7 +274,7 @@ mod tests {
         let inst = b.build().unwrap();
         // candidates in end-time order: v1 [0,10], v0 [10,20], v2 [20,30]
         let chosen =
-            greedy_single(&inst, u, &[cand(v1, 0.9), cand(v0, 0.5), cand(v2, 0.8)], &NOOP);
+            greedy_single(&inst.freeze(), u, &[cand(v1, 0.9), cand(v0, 0.5), cand(v2, 0.8)], &NOOP);
         // v0 goes first (infinite ratio, inc 0); then v1 (inc 8 ≤ 9)
         // beats v2 (inc 10 > 9, unaffordable)
         let events: Vec<EventId> = chosen.iter().map(|&i| [v1, v0, v2][i]).collect();

@@ -30,6 +30,7 @@ pub fn optimal_single_schedule(
         (t.start(), t.end(), cands[i].0)
     });
     let budget = inst.user(u).budget;
+    let flat = inst.freeze();
     let mut best: (Vec<EventId>, f64) = (Vec::new(), 0.0);
     'subset: for mask in 0u32..(1 << m) {
         let mut events = Vec::new();
@@ -56,7 +57,7 @@ pub fn optimal_single_schedule(
             }
         }
         let sched = Schedule::from_time_ordered(inst, events.clone());
-        if sched.total_cost(inst, u) > budget {
+        if sched.total_cost(&flat, u) > budget {
             continue;
         }
         best = (events, score);

@@ -112,8 +112,6 @@ impl GuardedSolver {
             // DeDP's footprint is dominated by the μ^r matrix plus the
             // one-shot SoA lowering every solve shares, and is known
             // exactly up front — skip the attempt when it cannot fit.
-            // The lowering term does not depend on which view executes,
-            // so object-path and flat-path runs skip identically.
             if algo == Algorithm::DeDP && !is_last {
                 let bytes = PseudoLayout::new(inst)
                     .mu_matrix_bytes(inst.num_users())

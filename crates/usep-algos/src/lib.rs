@@ -79,45 +79,29 @@ pub(crate) fn finish_guarded(guard: &Guard, probe: &dyn Probe) -> SolveOutcome {
 /// A USEP planning algorithm: takes an instance, returns a feasible
 /// planning.
 ///
-/// `solve` and `solve_with_probe` default to each other (like
-/// `PartialEq::eq`/`ne`): instrumented solvers implement
-/// `solve_with_probe` and get `solve` for free, plain solvers implement
-/// `solve` and silently ignore any probe. Implement at least one.
+/// [`Solver::solve_guarded`] is the one solving method to implement;
+/// [`Solver::solve`] runs it under a guard that never trips and no
+/// probe.
 pub trait Solver {
     /// Short display name (matches the paper's figure legends).
     fn name(&self) -> &'static str;
 
+    /// Computes a planning under the supervision of `guard`, reporting
+    /// counters, spans and histogram observations through `probe`.
+    /// Probes observe, they never steer: the planning is the same for
+    /// every probe.
+    ///
+    /// The interruptible solvers ([`RatioGreedy`], [`DeDP`], [`DeDPO`],
+    /// [`DeGreedy`]) poll the guard from their hot loops, stop at the
+    /// next checkpoint once it trips, and return the best-so-far
+    /// **constraint-valid** planning tagged with the outcome. Solvers
+    /// whose work is not anytime-shaped (one-shot baselines) ignore the
+    /// guard and report [`SolveOutcome::Complete`].
+    fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve;
+
     /// Computes a feasible planning for `inst`.
     fn solve(&self, inst: &Instance) -> Planning {
-        self.solve_with_probe(inst, &NOOP)
-    }
-
-    /// Computes a feasible planning, reporting counters, spans and
-    /// histogram observations through `probe` along the way. The planning
-    /// returned is identical to [`Solver::solve`]'s — probes observe,
-    /// they never steer.
-    fn solve_with_probe(&self, inst: &Instance, probe: &dyn Probe) -> Planning {
-        let _ = probe;
-        self.solve(inst)
-    }
-
-    /// Computes a planning under the supervision of `guard`, stopping
-    /// at the next checkpoint once the guard trips and returning the
-    /// best-so-far **constraint-valid** planning tagged with the
-    /// outcome.
-    ///
-    /// The default ignores the guard and reports
-    /// [`SolveOutcome::Complete`] — correct for solvers whose work is
-    /// not anytime-shaped (exact search, one-shot baselines). The
-    /// interruptible solvers ([`RatioGreedy`], [`DeDP`], [`DeDPO`],
-    /// [`DeGreedy`]) override it and poll the guard from their hot
-    /// loops.
-    fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
-        let _ = guard;
-        GuardedSolve {
-            planning: self.solve_with_probe(inst, probe),
-            outcome: SolveOutcome::Complete,
-        }
+        self.solve_guarded(inst, Guard::none(), &NOOP).planning
     }
 }
 
@@ -207,23 +191,14 @@ impl std::fmt::Display for Algorithm {
 
 /// Runs `algorithm` on `inst`.
 pub fn solve(algorithm: Algorithm, inst: &Instance) -> Planning {
-    solve_with_probe(algorithm, inst, &NOOP)
+    solve_guarded(algorithm, inst, Guard::none(), &NOOP).planning
 }
 
 /// Runs `algorithm` on `inst`, reporting instrumentation through
 /// `probe` (see the `usep-trace` crate). With [`NOOP`] this is exactly
 /// [`solve`].
 pub fn solve_with_probe(algorithm: Algorithm, inst: &Instance, probe: &dyn Probe) -> Planning {
-    match algorithm {
-        Algorithm::RatioGreedy => RatioGreedy.solve_with_probe(inst, probe),
-        Algorithm::DeDP => DeDP::new().solve_with_probe(inst, probe),
-        Algorithm::DeDPO => DeDPO::new().solve_with_probe(inst, probe),
-        Algorithm::DeDPORG => DeDPO::new().with_augment().solve_with_probe(inst, probe),
-        Algorithm::DeGreedy => DeGreedy::new().solve_with_probe(inst, probe),
-        Algorithm::DeGreedyRG => DeGreedy::new().with_augment().solve_with_probe(inst, probe),
-        Algorithm::SingleEventGreedy => SingleEventGreedy.solve_with_probe(inst, probe),
-        Algorithm::UtilityGreedy => UtilityGreedy.solve_with_probe(inst, probe),
-    }
+    solve_guarded(algorithm, inst, Guard::none(), probe).planning
 }
 
 /// Runs `algorithm` on `inst` under `guard`, dispatching to the

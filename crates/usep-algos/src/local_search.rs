@@ -25,35 +25,22 @@
 //! function of the snapshot, so the result is bit-identical at every
 //! thread count.
 
-use crate::Solver;
-use usep_core::{CoreView, EventId, Instance, Planning, UserId};
+use crate::{GuardedSolve, Solver};
+use usep_core::{EventId, FlatInstance, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_par::{current_threads, par_map};
+use usep_trace::Probe;
 
 /// Improves `planning` in place until no transfer/swap move helps or
 /// `max_rounds` passes complete. Returns the number of applied moves.
 pub fn improve(inst: &Instance, planning: &mut Planning, max_rounds: usize) -> usize {
-    // view choice is made once per improvement run, on the calling thread
-    if usep_core::object_path_forced() {
-        improve_with(inst, inst, planning, max_rounds)
-    } else {
-        let flat = inst.freeze();
-        improve_with(inst, &*flat, planning, max_rounds)
-    }
-}
-
-fn improve_with<V: CoreView + Sync>(
-    inst: &Instance,
-    view: &V,
-    planning: &mut Planning,
-    max_rounds: usize,
-) -> usize {
+    let flat = inst.freeze();
     let threads = current_threads();
     let mut applied = 0;
     for _ in 0..max_rounds {
         let before = applied;
-        applied += transfer_round(inst, view, planning, threads);
-        applied += swap_round(inst, view, planning, threads);
+        applied += transfer_round(inst, &flat, planning, threads);
+        applied += swap_round(inst, &flat, planning, threads);
         if applied == before {
             break; // fixpoint
         }
@@ -66,9 +53,9 @@ fn improve_with<V: CoreView + Sync>(
 /// μ(v, u_from)` that can host `v` in the snapshot. Proposals are then
 /// applied in `(v, u_from)` order, each re-checked against the current
 /// planning (an earlier transfer may have filled `u_to`'s schedule).
-fn transfer_round<V: CoreView + Sync>(
+fn transfer_round(
     inst: &Instance,
-    view: &V,
+    flat: &FlatInstance,
     planning: &mut Planning,
     threads: usize,
 ) -> usize {
@@ -77,20 +64,20 @@ fn transfer_round<V: CoreView + Sync>(
     pairs.sort_unstable();
     let snapshot: &Planning = planning;
     let proposals = par_map(threads, &pairs, Guard::none(), |_, &(v, u_from)| {
-        let mu_from = view.mu(v, u_from);
+        let mu_from = flat.mu(v, u_from);
         let mut best: Option<(UserId, f64)> = None;
         for u_to in inst.user_ids() {
             if u_to == u_from {
                 continue;
             }
-            let mu_to = view.mu(v, u_to);
+            let mu_to = flat.mu(v, u_to);
             if mu_to <= mu_from {
                 continue;
             }
             if best.is_some_and(|(_, m)| mu_to <= m) {
                 continue;
             }
-            if snapshot.schedule(u_to).can_insert(view, u_to, v) {
+            if snapshot.schedule(u_to).can_insert(flat, u_to, v) {
                 best = Some((u_to, mu_to));
             }
         }
@@ -102,7 +89,7 @@ fn transfer_round<V: CoreView + Sync>(
         let (v, u_from) = pairs[k];
         // revalidate against the mutated planning; a skipped proposal is
         // simply re-found (or not) next round
-        if !planning.schedule(u_to).can_insert(view, u_to, v) {
+        if !planning.schedule(u_to).can_insert(flat, u_to, v) {
             continue;
         }
         assert!(planning.unassign(u_from, v));
@@ -119,16 +106,16 @@ fn transfer_round<V: CoreView + Sync>(
 /// shared snapshot), then the proposals are applied in user-id order,
 /// re-checking capacity and fit (an earlier user's swap may have taken
 /// the last slot of `v_in`).
-fn swap_round<V: CoreView + Sync>(
+fn swap_round(
     inst: &Instance,
-    view: &V,
+    flat: &FlatInstance,
     planning: &mut Planning,
     threads: usize,
 ) -> usize {
     let users: Vec<UserId> = inst.user_ids().collect();
     let snapshot: &Planning = planning;
     let proposals = par_map(threads, &users, Guard::none(), |_, &u| {
-        best_swap(inst, view, snapshot, u)
+        best_swap(inst, flat, snapshot, u)
     });
     let mut moves = 0;
     for (k, proposal) in proposals.into_iter().enumerate() {
@@ -138,7 +125,7 @@ fn swap_round<V: CoreView + Sync>(
             continue;
         }
         assert!(planning.unassign(u, v_out));
-        if planning.schedule(u).can_insert(view, u, v_in) {
+        if planning.schedule(u).can_insert(flat, u, v_in) {
             planning.assign(inst, u, v_in).expect("swap target validated");
             moves += 1;
         } else {
@@ -150,22 +137,22 @@ fn swap_round<V: CoreView + Sync>(
 
 /// The best swap for `u` against the snapshot: maximal utility gain,
 /// ties broken by smallest `(v_out, v_in)` so the choice is unique.
-fn best_swap<V: CoreView>(
+fn best_swap(
     inst: &Instance,
-    view: &V,
+    flat: &FlatInstance,
     snapshot: &Planning,
     u: UserId,
 ) -> Option<(EventId, EventId)> {
     let mut best: Option<(EventId, EventId, f64)> = None;
     for &v_out in snapshot.schedule(u).events() {
-        let mu_out = view.mu(v_out, u);
+        let mu_out = flat.mu(v_out, u);
         let mut trial = snapshot.schedule(u).clone();
         trial.remove(v_out);
         for v_in in inst.event_ids() {
             if v_in == v_out || trial.contains(v_in) {
                 continue;
             }
-            let mu_in = view.mu(v_in, u);
+            let mu_in = flat.mu(v_in, u);
             if mu_in <= mu_out || snapshot.remaining_capacity(inst, v_in) == 0 {
                 continue;
             }
@@ -175,7 +162,7 @@ fn best_swap<V: CoreView>(
             }) {
                 continue;
             }
-            if trial.can_insert(view, u, v_in) {
+            if trial.can_insert(flat, u, v_in) {
                 best = Some((v_out, v_in, gain));
             }
         }
@@ -203,10 +190,12 @@ impl<S: Solver> Solver for WithLocalSearch<S> {
         "LocalSearch"
     }
 
-    fn solve(&self, inst: &Instance) -> Planning {
-        let mut p = self.inner.solve(inst);
-        improve(inst, &mut p, self.max_rounds);
-        p
+    fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
+        let mut run = self.inner.solve_guarded(inst, guard, probe);
+        if !guard.is_tripped() {
+            improve(inst, &mut run.planning, self.max_rounds);
+        }
+        run
     }
 }
 

@@ -11,10 +11,12 @@
 //! [`FairnessStats`](usep_core::fairness::FairnessStats) and the
 //! `ext/fairness` experiment panel.
 
-use crate::Solver;
+use crate::{GuardedSolve, Solver};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use usep_core::{Cost, EventId, Instance, Planning, UserId};
+use usep_guard::{Guard, SolveOutcome};
+use usep_trace::Probe;
 
 /// Water-filling greedy for the max-min objective.
 #[derive(Clone, Copy, Debug, Default)]
@@ -41,7 +43,8 @@ impl Solver for MaxMinGreedy {
         "MaxMinGreedy"
     }
 
-    fn solve(&self, inst: &Instance) -> Planning {
+    fn solve_guarded(&self, inst: &Instance, _: &Guard, _: &dyn Probe) -> GuardedSolve {
+        let flat = inst.freeze();
         let mut planning = Planning::empty(inst);
         // min-heap of (current utility, user)
         let mut heap: BinaryHeap<Reverse<Poorest>> = inst
@@ -58,9 +61,9 @@ impl Solver for MaxMinGreedy {
                     continue;
                 }
                 let s = planning.schedule(u);
-                let Some(pos) = s.insertion_point(inst, v) else { continue };
-                let inc = s.inc_cost_at(inst, u, v, pos);
-                if inc.is_infinite() || s.total_cost(inst, u).add(inc) > inst.user(u).budget {
+                let Some(pos) = s.insertion_point(&flat, v) else { continue };
+                let inc = s.inc_cost_at(&flat, u, v, pos);
+                if inc.is_infinite() || s.total_cost(&flat, u).add(inc) > inst.user(u).budget {
                     continue;
                 }
                 let mu = inst.mu(v, u);
@@ -80,7 +83,7 @@ impl Solver for MaxMinGreedy {
             }
             // no feasible addition: the user is frozen (not re-pushed)
         }
-        planning
+        GuardedSolve { planning, outcome: SolveOutcome::Complete }
     }
 }
 

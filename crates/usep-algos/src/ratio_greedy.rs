@@ -52,7 +52,7 @@ use crate::{finish_guarded, GuardedSolve, Solver};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
-use usep_core::{CoreView, Cost, EventId, Instance, Planning, UserId};
+use usep_core::{Cost, EventId, FlatInstance, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_par::{current_threads, par_map_section};
 use usep_trace::{with_span, Counter, LocalCounters, Probe};
@@ -84,10 +84,6 @@ pub struct RatioGreedy;
 impl Solver for RatioGreedy {
     fn name(&self) -> &'static str {
         "RatioGreedy"
-    }
-
-    fn solve_with_probe(&self, inst: &Instance, probe: &dyn Probe) -> Planning {
-        self.solve_guarded(inst, Guard::none(), probe).planning
     }
 
     fn solve_guarded(&self, inst: &Instance, guard: &Guard, probe: &dyn Probe) -> GuardedSolve {
@@ -162,9 +158,8 @@ fn ratio_of(mu: f64, inc: Cost) -> f64 {
 }
 
 /// Per-user occupancy bitsets over events: `⌈|V|/64⌉` words per user,
-/// bit `v` set iff `v ∈ S_u`. On the flat view a whole feasibility
-/// probe collapses to `conflict_word & occupied_word != 0` against
-/// these rows; the object view ignores them and re-scans intervals.
+/// bit `v` set iff `v ∈ S_u`. A whole time-feasibility probe collapses
+/// to `conflict_word & occupied_word != 0` against these rows.
 struct Occupancy {
     words: usize,
     bits: Vec<u64>,
@@ -193,11 +188,11 @@ impl Occupancy {
     }
 }
 
-/// Remaining capacity of `v` through the view (identical to
+/// Remaining capacity of `v` through the flat view (identical to
 /// `Planning::remaining_capacity`, which takes the full instance).
 #[inline]
-fn remaining_capacity<V: CoreView>(view: &V, planning: &Planning, v: EventId) -> u32 {
-    view.capacity(v).saturating_sub(planning.load(v))
+fn remaining_capacity(flat: &FlatInstance, planning: &Planning, v: EventId) -> u32 {
+    flat.capacity(v).saturating_sub(planning.load(v))
 }
 
 /// Validity of the pair per Alg. 1: capacity left, `μ > 0`, not yet in
@@ -206,37 +201,34 @@ fn remaining_capacity<V: CoreView>(view: &V, planning: &Planning, v: EventId) ->
 /// parallel scans may call it concurrently; rejects accumulate in the
 /// caller's local counter block.
 ///
-/// On the flat view the duplicate/time-conflict test is the bitmask
-/// word-AND against `occ`'s row for `u`; the insertion *position* is
-/// then recovered with the plain ordinal prefix scan. The object view
-/// reports no mask and takes the legacy interval scan, so both paths
-/// accept exactly the same pairs.
-fn pair_inc<V: CoreView>(
-    view: &V,
+/// The duplicate/time-conflict test is the bitmask word-AND against
+/// `occ`'s row for `u`; the insertion *position* is then recovered with
+/// the plain ordinal prefix scan.
+fn pair_inc(
+    flat: &FlatInstance,
     planning: &Planning,
     occ: &Occupancy,
     v: EventId,
     u: UserId,
     lc: &mut LocalCounters,
 ) -> Option<Cost> {
-    if remaining_capacity(view, planning, v) == 0 {
+    if remaining_capacity(flat, planning, v) == 0 {
         lc.count(Counter::CapacityReject, 1);
         return None;
     }
-    if view.mu(v, u) <= 0.0 {
+    if flat.mu(v, u) <= 0.0 {
+        return None;
+    }
+    if flat.conflicts_with_occupied(occ.row(u), v) {
         return None;
     }
     let s = planning.schedule(u);
-    let pos = match view.occupied_conflicts(occ.row(u), v) {
-        Some(true) => return None,
-        Some(false) => view.insertion_pos_unchecked(s.events(), v),
-        None => view.insertion_point(s.events(), v)?,
-    };
-    let inc = view.inc_cost_at(s.events(), u, v, pos);
+    let pos = flat.insertion_pos_unchecked(s.events(), v);
+    let inc = flat.inc_cost_at(s.events(), u, v, pos);
     if inc.is_infinite() {
         return None;
     }
-    if view.total_cost(s.events(), u).add(inc) > view.budget(u) {
+    if flat.total_cost(s.events(), u).add(inc) > flat.budget(u) {
         lc.count(Counter::BudgetReject, 1);
         return None;
     }
@@ -268,16 +260,16 @@ impl Pick {
 
 /// Probes `(v, u)` and keys it when valid. Pure.
 #[inline]
-fn pick<V: CoreView>(
-    view: &V,
+fn pick(
+    flat: &FlatInstance,
     planning: &Planning,
     occ: &Occupancy,
     v: EventId,
     u: UserId,
     lc: &mut LocalCounters,
 ) -> Option<Pick> {
-    let inc = pair_inc(view, planning, occ, v, u, lc)?;
-    Some(Pick { u, ratio: ratio_of(view.mu(v, u), inc), inc })
+    let inc = pair_inc(flat, planning, occ, v, u, lc)?;
+    Some(Pick { u, ratio: ratio_of(flat.mu(v, u), inc), inc })
 }
 
 /// A best-first candidate list over one event's slot: `items[..len]`
@@ -344,8 +336,8 @@ fn list_len(rem: u32, num_users: usize) -> usize {
 /// The full scan of an event refresh (lines 3–5 / 12–14): ranks every
 /// valid user for `v` into `slot`, keeping the best `slot.len()`, and
 /// returns how many it kept and the floor. Pure.
-fn scan_event<V: CoreView>(
-    view: &V,
+fn scan_event(
+    flat: &FlatInstance,
     planning: &Planning,
     occ: &Occupancy,
     v: EventId,
@@ -353,9 +345,9 @@ fn scan_event<V: CoreView>(
     lc: &mut LocalCounters,
 ) -> (usize, Option<Pick>) {
     let mut list = Ranked { items: slot, len: 0, floor: None };
-    if remaining_capacity(view, planning, v) > 0 {
-        for ui in 0..view.num_users() as u32 {
-            if let Some(p) = pick(view, planning, occ, v, UserId(ui), lc) {
+    if remaining_capacity(flat, planning, v) > 0 {
+        for ui in 0..flat.num_users() as u32 {
+            if let Some(p) = pick(flat, planning, occ, v, UserId(ui), lc) {
                 list.insert(p);
             }
         }
@@ -365,8 +357,8 @@ fn scan_event<V: CoreView>(
 
 /// The scan half of a user refresh (lines 6–8 / 19–20): the best event
 /// for `u` among `events`. Pure.
-fn scan_user<V: CoreView>(
-    view: &V,
+fn scan_user(
+    flat: &FlatInstance,
     planning: &Planning,
     occ: &Occupancy,
     events: &[EventId],
@@ -375,8 +367,8 @@ fn scan_user<V: CoreView>(
 ) -> Option<(EventId, f64, Cost)> {
     let mut best: Option<(EventId, f64, Cost)> = None;
     for &v in events {
-        let Some(inc) = pair_inc(view, planning, occ, v, u, lc) else { continue };
-        let r = ratio_of(view.mu(v, u), inc);
+        let Some(inc) = pair_inc(flat, planning, occ, v, u, lc) else { continue };
+        let r = ratio_of(flat.mu(v, u), inc);
         let better = match best {
             None => true,
             Some((bv, br, binc)) => {
@@ -444,12 +436,12 @@ struct EventLists {
 }
 
 impl EventLists {
-    fn new<V: CoreView>(view: &V, planning: &Planning, events: &[EventId]) -> EventLists {
+    fn new(flat: &FlatInstance, planning: &Planning, events: &[EventId]) -> EventLists {
         let mut total = 0;
         let slots = events
             .iter()
             .map(|&v| {
-                let cap = list_len(remaining_capacity(view, planning, v), view.num_users());
+                let cap = list_len(remaining_capacity(flat, planning, v), flat.num_users());
                 let slot =
                     Slot { start: total, cap, scanned: false, len: 0, floor: None, seen: 0 };
                 total += cap;
@@ -460,7 +452,7 @@ impl EventLists {
             picks: vec![Pick::EMPTY; total],
             slots,
             changed: Vec::new(),
-            marks: vec![0; view.num_users()],
+            marks: vec![0; flat.num_users()],
             stamp: 0,
             #[cfg(test)]
             rescans: Rescans::default(),
@@ -497,16 +489,16 @@ impl EventLists {
 
     /// The best user for event `v` at `pos` — exactly the answer of a
     /// full scan, taken from the list whenever its head beats the floor.
-    fn best_user<V: CoreView>(
+    fn best_user(
         &mut self,
-        view: &V,
+        flat: &FlatInstance,
         planning: &Planning,
         occ: &Occupancy,
         pos: usize,
         v: EventId,
         lc: &mut LocalCounters,
     ) -> Option<Pick> {
-        if remaining_capacity(view, planning, v) == 0 {
+        if remaining_capacity(flat, planning, v) == 0 {
             return None;
         }
         let s = &mut self.slots[pos];
@@ -537,7 +529,7 @@ impl EventLists {
                     if mark < to_merge {
                         continue; // a repeat in the log, merged at its first entry
                     }
-                    match pick(view, planning, occ, v, u, lc) {
+                    match pick(flat, planning, occ, v, u, lc) {
                         Some(p) if mark == listed || list.above_floor(&p) => list.insert(p),
                         _ => {}
                     }
@@ -553,17 +545,16 @@ impl EventLists {
             #[cfg(test)]
             self.rescans.note(head.is_some());
         }
-        (s.len, s.floor) = scan_event(view, planning, occ, v, slot, lc);
+        (s.len, s.floor) = scan_event(flat, planning, occ, v, slot, lc);
         s.scanned = true;
         slot[..s.len].first().copied()
     }
 }
 
-struct Engine<'a, V: CoreView + Sync> {
+struct Engine<'a> {
     inst: &'a Instance,
-    /// The hot-path accessor surface: the frozen `FlatInstance`
-    /// normally, the instance itself under `with_object_path`.
-    view: &'a V,
+    /// The instance's frozen view, which every probe reads.
+    flat: &'a FlatInstance,
     planning: &'a mut Planning,
     /// Per-user occupancy bitsets, kept in lockstep with `planning`.
     occ: Occupancy,
@@ -588,10 +579,10 @@ struct Engine<'a, V: CoreView + Sync> {
     probe: &'a dyn Probe,
 }
 
-impl<'a, V: CoreView + Sync> Engine<'a, V> {
+impl<'a> Engine<'a> {
     fn new(
         inst: &'a Instance,
-        view: &'a V,
+        flat: &'a FlatInstance,
         planning: &'a mut Planning,
         events: &'a [EventId],
         guard: &'a Guard,
@@ -602,10 +593,10 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
             event_pos[v.index()] = i as u32;
         }
         let occ = Occupancy::from_planning(inst.num_events(), planning);
-        let lists = EventLists::new(view, planning, events);
+        let lists = EventLists::new(flat, planning, events);
         Engine {
             inst,
-            view,
+            flat,
             planning,
             occ,
             events,
@@ -655,7 +646,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
     fn refresh_event(&mut self, pos: usize) {
         let mut lc = LocalCounters::new();
         let v = self.events[pos];
-        let best = self.lists.best_user(self.view, self.planning, &self.occ, pos, v, &mut lc);
+        let best = self.lists.best_user(self.flat, self.planning, &self.occ, pos, v, &mut lc);
         lc.flush_into(self.probe);
         self.commit_event(pos, best);
     }
@@ -664,7 +655,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
     /// pushes it.
     fn refresh_user(&mut self, u: UserId) {
         let mut lc = LocalCounters::new();
-        let best = scan_user(self.view, self.planning, &self.occ, self.events, u, &mut lc);
+        let best = scan_user(self.flat, self.planning, &self.occ, self.events, u, &mut lc);
         lc.flush_into(self.probe);
         self.commit_user(u, best);
     }
@@ -676,7 +667,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
     fn seed(&mut self) {
         let users: Vec<UserId> = self.inst.user_ids().collect();
         if self.threads > 1 && self.events.len().max(users.len()) >= MIN_PAR_ITEMS {
-            let (view, probe) = (self.view, self.probe);
+            let (flat, probe) = (self.flat, self.probe);
             let occ = &self.occ;
             let planning: &Planning = self.planning;
             let events = self.events;
@@ -690,7 +681,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 LocalCounters::new,
                 |lc, pos, slot| {
                     let mut slot = slot.lock().expect("a slot is locked once, never poisoned");
-                    scan_event(view, planning, occ, events[pos], &mut slot, lc)
+                    scan_event(flat, planning, occ, events[pos], &mut slot, lc)
                 },
                 |mut lc| lc.flush_into(probe),
             );
@@ -713,7 +704,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 &users,
                 self.guard,
                 LocalCounters::new,
-                |lc, _, &u| scan_user(view, planning, occ, events, u, lc),
+                |lc, _, &u| scan_user(flat, planning, occ, events, u, lc),
                 |mut lc| lc.flush_into(probe),
             );
             for (i, scan) in user_scans.into_iter().enumerate() {
@@ -775,7 +766,7 @@ impl<'a, V: CoreView + Sync> Engine<'a, V> {
                 Side::User => self.user_best[c.u.index()] = None,
             }
             let mut lc = LocalCounters::new();
-            let revalidated = pair_inc(self.view, self.planning, &self.occ, c.v, c.u, &mut lc);
+            let revalidated = pair_inc(self.flat, self.planning, &self.occ, c.v, c.u, &mut lc);
             lc.flush_into(self.probe);
             let added = if let Some(inc) = revalidated {
                 self.planning
@@ -825,15 +816,8 @@ pub(crate) fn run_ratio_greedy(
     if events.is_empty() || inst.num_users() == 0 {
         return;
     }
-    // the view decision is made once, here, on the calling thread; the
-    // chosen view flows into the parallel scan closures, so workers
-    // never consult the thread-local
-    if usep_core::object_path_forced() {
-        Engine::new(inst, inst, planning, events, guard, probe).run();
-    } else {
-        let flat = inst.freeze();
-        Engine::new(inst, &*flat, planning, events, guard, probe).run();
-    }
+    let flat = inst.freeze();
+    Engine::new(inst, &flat, planning, events, guard, probe).run();
 }
 
 #[cfg(test)]
@@ -1007,12 +991,11 @@ mod tests {
             .with_capacity_mean(24);
         let inst = generate(&cfg, 1);
         let flat = inst.freeze();
-        let view = &*flat;
         let (events, others): (Vec<EventId>, Vec<EventId>) =
             inst.event_ids().partition(|v| v.index() % 2 == 0);
         let mut planning = Planning::empty(&inst);
         let mut occ = Occupancy::from_planning(inst.num_events(), &planning);
-        let mut lists = EventLists::new(view, &planning, &events);
+        let mut lists = EventLists::new(&flat, &planning, &events);
         assert!(lists.slots.iter().all(|s| (K_MIN..=K_MAX).contains(&s.cap)));
         let mut full = vec![Pick::EMPTY; inst.num_users()];
         let mut lc = LocalCounters::new();
@@ -1020,15 +1003,15 @@ mod tests {
         for step in 0..6000 {
             let pos = rng.gen_range(0..events.len());
             let v = events[pos];
-            let cached = lists.best_user(view, &planning, &occ, pos, v, &mut lc);
-            let (len, _) = scan_event(view, &planning, &occ, v, &mut full, &mut lc);
+            let cached = lists.best_user(&flat, &planning, &occ, pos, v, &mut lc);
+            let (len, _) = scan_event(&flat, &planning, &occ, v, &mut full, &mut lc);
             let key = |p: Pick| (p.u, p.ratio.to_bits(), p.inc);
             assert_eq!(cached.map(key), full[..len].first().copied().map(key), "step {step}");
             // the answer takes the event (its list head leaves), or another
             // event outside the lists (its keys move or turn invalid)
             let Some(p) = cached else { continue };
             let w = if rng.gen_bool(0.5) { v } else { others[rng.gen_range(0..others.len())] };
-            if pair_inc(view, &planning, &occ, w, p.u, &mut lc).is_some() {
+            if pair_inc(&flat, &planning, &occ, w, p.u, &mut lc).is_some() {
                 planning.assign(&inst, p.u, w).expect("valid pair");
                 occ.set(p.u, w);
                 lists.log(p.u);
@@ -1044,15 +1027,16 @@ mod tests {
         // a guard trip can skip an event's seed scan; its first refresh
         // must find the full scan's best user, not an empty list
         let inst = generate(&SyntheticConfig::tiny(), 5);
+        let flat = inst.freeze();
         let events: Vec<EventId> = inst.event_ids().collect();
         let planning = Planning::empty(&inst);
         let occ = Occupancy::from_planning(inst.num_events(), &planning);
-        let mut lists = EventLists::new(&inst, &planning, &events);
+        let mut lists = EventLists::new(&flat, &planning, &events);
         let mut lc = LocalCounters::new();
         for (pos, &v) in events.iter().enumerate() {
             let mut full = vec![Pick::EMPTY; inst.num_users()];
-            let (len, _) = scan_event(&inst, &planning, &occ, v, &mut full, &mut lc);
-            let cached = lists.best_user(&inst, &planning, &occ, pos, v, &mut lc);
+            let (len, _) = scan_event(&flat, &planning, &occ, v, &mut full, &mut lc);
+            let cached = lists.best_user(&flat, &planning, &occ, pos, v, &mut lc);
             assert_eq!(cached.map(|p| p.u), full[..len].first().map(|p| p.u), "event {v:?}");
             assert!(lists.slots[pos].scanned || len == 0);
         }
@@ -1082,7 +1066,7 @@ mod tests {
         let inst = b.build().unwrap();
 
         let sink = TraceSink::new();
-        let traced = RatioGreedy.solve_with_probe(&inst, &sink);
+        let traced = RatioGreedy.solve_guarded(&inst, Guard::none(), &sink).planning;
         assert_eq!(traced, RatioGreedy.solve(&inst), "probes must not steer the result");
 
         let pop = sink.counter(Counter::HeapPop);

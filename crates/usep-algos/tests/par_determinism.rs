@@ -124,14 +124,6 @@ fn guarded_plannings_and_counter_snapshots_identical_1_vs_4_threads() {
         assert_eq!(e1, e4, "{algo} seed {seed}: executed tier differs");
         assert_eq!(f1, f4, "{algo} seed {seed}: fallback trail differs");
         assert_eq!(c1, c4, "{algo} seed {seed}: trace-counter snapshot differs");
-        // the runs above go through the flat SoA view; the forced
-        // object-path solve must land on the byte-identical planning
-        let object = at_threads(4, || {
-            usep_core::with_object_path(|| {
-                GuardedSolver::new(algo, SolveBudget::unlimited()).solve(&inst).planning
-            })
-        });
-        assert_eq!(p1, object, "{algo} seed {seed}: SoA planning differs from object path");
     }
 }
 

@@ -33,9 +33,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use usep_algos::{augment_events_with_ratio_greedy, solve, solve_with_probe, Algorithm};
-use usep_core::{Cost, EventId, Instance, Planning, UserId};
+use usep_core::{Cost, EventId, FlatInstance, Instance, Planning, UserId};
 use usep_gen::{generate, SyntheticConfig};
 use usep_trace::{Counter, TraceSink};
 
@@ -91,15 +91,21 @@ impl Eq for Entry {}
 /// Eq. (2)–(3) validity and key of adding `v` to `u`'s schedule:
 /// `Some((ratio, inc))` when capacity, utility, time, reachability and
 /// budget all allow it.
-fn key(inst: &Instance, planning: &Planning, v: EventId, u: UserId) -> Option<(f64, Cost)> {
+fn key(
+    inst: &Instance,
+    flat: &FlatInstance,
+    planning: &Planning,
+    v: EventId,
+    u: UserId,
+) -> Option<(f64, Cost)> {
     let mu = inst.mu(v, u);
     if planning.remaining_capacity(inst, v) == 0 || mu <= 0.0 {
         return None;
     }
     let schedule = planning.schedule(u);
-    let pos = schedule.insertion_point(inst, v)?;
-    let inc = schedule.inc_cost_at(inst, u, v, pos);
-    if inc.is_infinite() || schedule.total_cost(inst, u).add(inc) > inst.user(u).budget {
+    let pos = schedule.insertion_point(flat, v)?;
+    let inc = schedule.inc_cost_at(flat, u, v, pos);
+    if inc.is_infinite() || schedule.total_cost(flat, u).add(inc) > inst.user(u).budget {
         return None;
     }
     let ratio = if inc == Cost::ZERO { f64::INFINITY } else { mu / inc.as_f64() };
@@ -124,6 +130,7 @@ fn traffic(sink: &TraceSink) -> Traffic {
 /// with a full rescan at every refresh.
 struct Reference<'a> {
     inst: &'a Instance,
+    flat: Arc<FlatInstance>,
     planning: Planning,
     events: &'a [EventId],
     heap: BinaryHeap<Entry>,
@@ -139,6 +146,7 @@ impl<'a> Reference<'a> {
     fn run(inst: &'a Instance, planning: Planning, events: &'a [EventId]) -> (Planning, Traffic) {
         let mut r = Reference {
             inst,
+            flat: inst.freeze(),
             planning,
             events,
             heap: BinaryHeap::new(),
@@ -165,7 +173,7 @@ impl<'a> Reference<'a> {
                 r.traffic[2] += 1;
                 continue;
             }
-            let added = key(inst, &r.planning, e.v, e.u).is_some();
+            let added = key(inst, &r.flat, &r.planning, e.v, e.u).is_some();
             if added {
                 r.planning.assign(inst, e.u, e.v).expect("valid pair assigns");
             }
@@ -191,7 +199,7 @@ impl<'a> Reference<'a> {
     fn refresh_event(&mut self, v: EventId) {
         let mut best: Option<(UserId, (f64, Cost))> = None;
         for u in self.inst.user_ids() {
-            if let Some(k) = key(self.inst, &self.planning, v, u) {
+            if let Some(k) = key(self.inst, &self.flat, &self.planning, v, u) {
                 if best.is_none_or(|(bu, bk)| ahead(k, u, bk, bu)) {
                     best = Some((u, k));
                 }
@@ -208,7 +216,7 @@ impl<'a> Reference<'a> {
     fn refresh_user(&mut self, u: UserId) {
         let mut best: Option<(EventId, (f64, Cost))> = None;
         for &v in self.events {
-            if let Some(k) = key(self.inst, &self.planning, v, u) {
+            if let Some(k) = key(self.inst, &self.flat, &self.planning, v, u) {
                 if best.is_none_or(|(bv, bk)| ahead(k, v, bk, bv)) {
                     best = Some((v, k));
                 }

@@ -39,9 +39,10 @@ impl FairnessStats {
                 p90_served: 0.0,
             };
         }
+        let flat = inst.freeze();
         let utilities: Vec<f64> = inst
             .user_ids()
-            .map(|u| planning.schedule(u).utility(inst, u))
+            .map(|u| planning.schedule(u).utility(&flat, u))
             .collect();
         let sum: f64 = utilities.iter().sum();
         let sq: f64 = utilities.iter().map(|x| x * x).sum();
@@ -50,7 +51,7 @@ impl FairnessStats {
         let mut served: Vec<f64> = inst
             .user_ids()
             .filter(|&u| !planning.schedule(u).is_empty())
-            .map(|u| planning.schedule(u).utility(inst, u))
+            .map(|u| planning.schedule(u).utility(&flat, u))
             .collect();
         served.sort_by(f64::total_cmp);
         let pct = |p: f64| -> f64 {

@@ -3,6 +3,15 @@
 //! [`Instance::freeze`] and borrowed read-only by every solver hot
 //! path.
 //!
+//! Every schedule-level operation the algorithms perform per candidate
+//! pair — the insertion-point probe, Eq. (3)'s incremental cost, the
+//! total-cost chain, the utility sum — is an inherent method here over a
+//! raw `&[EventId]` slice, so [`Schedule`](crate::Schedule) (which
+//! delegates here) and slice-juggling solver internals share one
+//! implementation. [`Instance`]'s object accessors stay the
+//! construction and serde model; [`FlatInstance::build`] copies exactly
+//! the values they derive.
+//!
 //! # Layout
 //!
 //! All arrays are dense, contiguous, and indexed by the raw `u32` ids:
@@ -16,7 +25,7 @@
 //! * `vv` — the `|V| × |V|` directed event-event matrix, copied from
 //!   the instance's precomputed `event_costs`.
 //! * `start` / `end` — event interval endpoints, for the positional
-//!   prefix scan that stays ordinal even on the flat path.
+//!   prefix scan that recovers an insertion position.
 //!
 //! # Conflict bitmask
 //!
@@ -27,48 +36,28 @@
 //! predicate — deliberately not cost-based: non-adjacent mutually
 //! unreachable pairs are legal in feasible schedules (only consecutive
 //! legs are costed), so folding reachability into the mask would
-//! over-reject and break byte-identity with the object path.
+//! over-reject.
 //!
-//! `Schedule::insertion_point` returns `None` exactly when the probed
-//! event is a duplicate of — or time-overlaps — some scheduled event
-//! (transitivity of `precedes` over a time-ordered schedule makes the
-//! prefix argument airtight), so a row-AND against an occupancy bitset,
-//! or per-event bit probes when no bitset is maintained, reproduces the
-//! accept/reject decision of the interval scan bit for bit.
+//! A probed event fits a time-ordered, non-overlapping schedule exactly
+//! when it is neither a duplicate of nor time-overlapping with any
+//! scheduled event (transitivity of `precedes` makes the events before
+//! it a prefix), so a row-AND against an occupancy bitset, or per-event
+//! bit probes when no bitset is maintained, is the whole Def.-1 time
+//! check.
 
 use crate::cost::Cost;
 use crate::ids::{EventId, UserId};
 use crate::instance::Instance;
-use crate::view::CoreView;
-use std::cell::Cell;
 
-thread_local! {
-    static FORCE_OBJECT_PATH: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with the flat hot path disabled on this thread: solvers
-/// entered inside `f` take the legacy object-accessor path instead of
-/// [`Instance::freeze`].
+/// Normalizes IEEE-754 `-0.0` to `+0.0`.
 ///
-/// The switch is consulted **once** per solve, at solver entry, on the
-/// calling thread; the chosen view then flows into any parallel worker
-/// closures, so fan-out sections need no thread-local propagation.
-/// This exists for the differential suites that pin the SoA path
-/// byte-identical to the pre-refactor behaviour; production code never
-/// calls it.
-pub fn with_object_path<R>(f: impl FnOnce() -> R) -> R {
-    FORCE_OBJECT_PATH.with(|c| {
-        let prev = c.replace(true);
-        let r = f();
-        c.set(prev);
-        r
-    })
-}
-
-/// Whether [`with_object_path`] is active on this thread.
+/// An empty `Iterator::sum::<f64>()` over a rev-folded accumulator can
+/// produce `-0.0`; every utility aggregate (Ω, per-schedule utility,
+/// marginal gains) passes through this single helper so serialized
+/// objectives never leak a sign bit that depends on summation shape.
 #[inline]
-pub fn object_path_forced() -> bool {
-    FORCE_OBJECT_PATH.with(Cell::get)
+pub fn normalize_utility(x: f64) -> f64 {
+    x + 0.0
 }
 
 /// The flat SoA view of one instance. See the module docs for layout.
@@ -397,66 +386,83 @@ fn swap_remove_row<T: Copy>(arr: &mut Vec<T>, row: usize, last: usize, stride: u
     arr.truncate(last * stride);
 }
 
-impl CoreView for FlatInstance {
+impl FlatInstance {
+    /// Number of users `|U|`.
     #[inline]
-    fn num_events(&self) -> usize {
-        self.nv
-    }
-    #[inline]
-    fn num_users(&self) -> usize {
+    pub fn num_users(&self) -> usize {
         self.nu
     }
+
+    /// Utility `μ(v, u) ∈ [0, 1]`.
     #[inline]
-    fn mu(&self, v: EventId, u: UserId) -> f64 {
+    pub fn mu(&self, v: EventId, u: UserId) -> f64 {
         f64::from(self.mu[u.index() * self.nv + v.index()])
     }
+
+    /// The utilities of user `u` over all events, indexed by `EventId`.
     #[inline]
-    fn mu_row(&self, u: UserId) -> &[f32] {
+    pub fn mu_row(&self, u: UserId) -> &[f32] {
         &self.mu[u.index() * self.nv..(u.index() + 1) * self.nv]
     }
+
+    /// Cost of traveling *to* event `v` from home (fee folded in).
     #[inline]
-    fn cost_to_event(&self, u: UserId, v: EventId) -> Cost {
+    pub fn cost_to_event(&self, u: UserId, v: EventId) -> Cost {
         self.to[u.index() * self.nv + v.index()]
     }
+
+    /// Cost of traveling home *from* event `v` (no fee).
     #[inline]
-    fn cost_from_event(&self, v: EventId, u: UserId) -> Cost {
+    pub fn cost_from_event(&self, v: EventId, u: UserId) -> Cost {
         self.from[u.index() * self.nv + v.index()]
     }
+
+    /// Directed event-to-event cost (target fee folded in), infinite
+    /// when the pair is spatio-temporally incompatible.
     #[inline]
-    fn cost_vv(&self, i: EventId, j: EventId) -> Cost {
+    pub fn cost_vv(&self, i: EventId, j: EventId) -> Cost {
         self.vv[i.index() * self.nv + j.index()]
     }
+
+    /// Round-trip cost of attending only `v`.
     #[inline]
-    fn round_trip(&self, u: UserId, v: EventId) -> Cost {
+    pub fn round_trip(&self, u: UserId, v: EventId) -> Cost {
         self.rt[u.index() * self.nv + v.index()]
     }
+
+    /// Travel budget of user `u`.
     #[inline]
-    fn budget(&self, u: UserId) -> Cost {
+    pub fn budget(&self, u: UserId) -> Cost {
         self.budget[u.index()]
     }
+
+    /// Capacity of event `v`.
     #[inline]
-    fn capacity(&self, v: EventId) -> u32 {
+    pub fn capacity(&self, v: EventId) -> u32 {
         self.capacity[v.index()]
     }
+
+    /// Start time of event `v`.
     #[inline]
-    fn event_start(&self, v: EventId) -> i64 {
+    pub fn event_start(&self, v: EventId) -> i64 {
         self.start[v.index()]
     }
+
+    /// End time of event `v`.
     #[inline]
-    fn event_end(&self, v: EventId) -> i64 {
+    pub fn event_end(&self, v: EventId) -> i64 {
         self.end[v.index()]
     }
 
+    /// The position at which `v` would be inserted into the
+    /// time-ordered `events`, or `None` when `v` is a duplicate or
+    /// time-conflicts with a scheduled event.
+    ///
+    /// Per-event bit probes of `v`'s conflict row decide the time check
+    /// (a clear section means both "no duplicate", via the diagonal bit,
+    /// and "no overlap"); the position is then the ordinal prefix scan.
     #[inline]
-    fn occupied_conflicts(&self, occupied: &[u64], v: EventId) -> Option<bool> {
-        Some(self.conflicts_with_occupied(occupied, v))
-    }
-
-    /// Bitmask insertion point: per-event bit probes replace the
-    /// interval comparisons; a clear row section implies both "no
-    /// duplicate" (diagonal bit) and "no overlap", after which the
-    /// position is the ordinal prefix scan.
-    fn insertion_point(&self, events: &[EventId], v: EventId) -> Option<usize> {
+    pub fn insertion_point(&self, events: &[EventId], v: EventId) -> Option<usize> {
         let row = self.conflict_row(v);
         for &e in events {
             if row[e.index() / 64] & (1u64 << (e.index() % 64)) != 0 {
@@ -465,6 +471,95 @@ impl CoreView for FlatInstance {
         }
         Some(self.insertion_pos_unchecked(events, v))
     }
+
+    /// The insertion position of `v` assuming it is already known to be
+    /// conflict-free (e.g. after [`FlatInstance::conflicts_with_occupied`]
+    /// said so): the length of the prefix of events preceding `v`.
+    #[inline]
+    pub fn insertion_pos_unchecked(&self, events: &[EventId], v: EventId) -> usize {
+        let sv = self.event_start(v);
+        events.iter().take_while(|&&m| self.event_end(m) <= sv).count()
+    }
+
+    /// Eq. (3) with a precomputed insertion point: the extra travel
+    /// incurred if `v` were inserted into `events` at `pos` for user
+    /// `u`; infinite when a new leg is unreachable.
+    #[inline]
+    pub fn inc_cost_at(&self, events: &[EventId], u: UserId, v: EventId, pos: usize) -> Cost {
+        let n = events.len();
+        if n == 0 {
+            return self.round_trip(u, v);
+        }
+        if pos == 0 {
+            let first = events[0];
+            let new_legs = self.cost_to_event(u, v).add(self.cost_vv(v, first));
+            if new_legs.is_infinite() {
+                return Cost::INFINITE;
+            }
+            return new_legs.sub(self.cost_to_event(u, first));
+        }
+        if pos == n {
+            let last = events[n - 1];
+            let new_legs = self.cost_vv(last, v).add(self.cost_from_event(v, u));
+            if new_legs.is_infinite() {
+                return Cost::INFINITE;
+            }
+            return new_legs.sub(self.cost_from_event(last, u));
+        }
+        let prev = events[pos - 1];
+        let next = events[pos];
+        let new_legs = self.cost_vv(prev, v).add(self.cost_vv(v, next));
+        if new_legs.is_infinite() {
+            return Cost::INFINITE;
+        }
+        new_legs.sub(self.cost_vv(prev, next))
+    }
+
+    /// Eq. (3) without a precomputed position: infinite when `v` cannot
+    /// be inserted at all.
+    #[inline]
+    pub fn inc_cost(&self, events: &[EventId], u: UserId, v: EventId) -> Cost {
+        let Some(pos) = self.insertion_point(events, v) else {
+            return Cost::INFINITE;
+        };
+        self.inc_cost_at(events, u, v, pos)
+    }
+
+    /// Total round-trip travel cost of the schedule `events` for `u`.
+    #[inline]
+    pub fn total_cost(&self, events: &[EventId], u: UserId) -> Cost {
+        let Some((&first, rest)) = events.split_first() else {
+            return Cost::ZERO;
+        };
+        let mut total = self.cost_to_event(u, first);
+        let mut prev = first;
+        for &v in rest {
+            total = total.add(self.cost_vv(prev, v));
+            prev = v;
+        }
+        total.add(self.cost_from_event(prev, u))
+    }
+
+    /// Total utility `Σ_{v ∈ events} μ(v, u)`, `-0.0`-normalized.
+    #[inline]
+    pub fn utility(&self, events: &[EventId], u: UserId) -> f64 {
+        normalize_utility(events.iter().map(|&v| self.mu(v, u)).sum::<f64>())
+    }
+
+    /// Whether `v` could be inserted into `events` for `u` without
+    /// violating schedule-level constraints (time, reachability,
+    /// budget).
+    #[inline]
+    pub fn can_insert(&self, events: &[EventId], u: UserId, v: EventId) -> bool {
+        let Some(pos) = self.insertion_point(events, v) else {
+            return false;
+        };
+        let inc = self.inc_cost_at(events, u, v, pos);
+        if inc.is_infinite() {
+            return false;
+        }
+        self.total_cost(events, u).add(inc) <= self.budget(u)
+    }
 }
 
 #[cfg(test)]
@@ -472,7 +567,6 @@ mod tests {
     use super::*;
     use crate::geo::Point;
     use crate::instance::InstanceBuilder;
-    use crate::schedule::Schedule;
     use crate::time::TimeInterval;
 
     fn iv(a: i64, b: i64) -> TimeInterval {
@@ -496,6 +590,16 @@ mod tests {
     }
 
     #[test]
+    fn normalize_utility_pins_negative_zero() {
+        let z = normalize_utility(-0.0);
+        assert_eq!(z, 0.0);
+        assert!(z.is_sign_positive(), "-0.0 must normalize to +0.0");
+        // non-zero values pass through untouched
+        assert_eq!(normalize_utility(1.25), 1.25);
+        assert_eq!(normalize_utility(-1.25), -1.25);
+    }
+
+    #[test]
     fn freeze_is_cached_and_shared() {
         let inst = fixture();
         let a = inst.freeze();
@@ -507,24 +611,23 @@ mod tests {
     fn flat_accessors_match_object_accessors() {
         let inst = fixture();
         let flat = inst.freeze();
-        assert_eq!(CoreView::num_events(&*flat), inst.num_events());
-        assert_eq!(CoreView::num_users(&*flat), inst.num_users());
+        assert_eq!(flat.num_users(), inst.num_users());
         for u in inst.user_ids() {
-            assert_eq!(CoreView::budget(&*flat, u), inst.user(u).budget);
-            assert_eq!(CoreView::mu_row(&*flat, u), inst.mu_row(u));
+            assert_eq!(flat.budget(u), inst.user(u).budget);
+            assert_eq!(flat.mu_row(u), inst.mu_row(u));
             for v in inst.event_ids() {
-                assert_eq!(CoreView::mu(&*flat, v, u).to_bits(), inst.mu(v, u).to_bits());
-                assert_eq!(CoreView::cost_to_event(&*flat, u, v), inst.cost_to_event(u, v));
-                assert_eq!(CoreView::cost_from_event(&*flat, v, u), inst.cost_from_event(v, u));
-                assert_eq!(CoreView::round_trip(&*flat, u, v), inst.round_trip(u, v));
+                assert_eq!(flat.mu(v, u).to_bits(), inst.mu(v, u).to_bits());
+                assert_eq!(flat.cost_to_event(u, v), inst.cost_to_event(u, v));
+                assert_eq!(flat.cost_from_event(v, u), inst.cost_from_event(v, u));
+                assert_eq!(flat.round_trip(u, v), inst.round_trip(u, v));
             }
         }
         for i in inst.event_ids() {
-            assert_eq!(CoreView::capacity(&*flat, i), inst.event(i).capacity);
-            assert_eq!(CoreView::event_start(&*flat, i), inst.event(i).time.start());
-            assert_eq!(CoreView::event_end(&*flat, i), inst.event(i).time.end());
+            assert_eq!(flat.capacity(i), inst.event(i).capacity);
+            assert_eq!(flat.event_start(i), inst.event(i).time.start());
+            assert_eq!(flat.event_end(i), inst.event(i).time.end());
             for j in inst.event_ids() {
-                assert_eq!(CoreView::cost_vv(&*flat, i, j), inst.cost_vv(i, j));
+                assert_eq!(flat.cost_vv(i, j), inst.cost_vv(i, j));
             }
         }
     }
@@ -552,40 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_schedule_ops_match_legacy() {
-        let inst = fixture();
-        let flat = inst.freeze();
-        // every subset of events reachable by legal insertion, every probe
-        for u in inst.user_ids() {
-            let mut s = Schedule::new();
-            for v in inst.event_ids() {
-                let _ = s.try_insert(&inst, u, v);
-                for probe in inst.event_ids() {
-                    assert_eq!(
-                        CoreView::insertion_point(&*flat, s.events(), probe),
-                        s.insertion_point(&inst, probe),
-                        "insertion_point({probe}) after {:?}",
-                        s.events()
-                    );
-                    assert_eq!(
-                        CoreView::inc_cost(&*flat, s.events(), u, probe),
-                        s.inc_cost(&inst, u, probe)
-                    );
-                    assert_eq!(
-                        CoreView::can_insert(&*flat, s.events(), u, probe),
-                        s.can_insert(&inst, u, probe)
-                    );
-                }
-                assert_eq!(CoreView::total_cost(&*flat, s.events(), u), s.total_cost(&inst, u));
-                assert_eq!(
-                    CoreView::utility(&*flat, s.events(), u).to_bits(),
-                    s.utility(&inst, u).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn occupied_word_probe_matches_per_event_probes() {
         let inst = fixture();
         let flat = inst.freeze();
@@ -598,21 +667,10 @@ mod tests {
                 (0..4u32).filter(|b| mask & (1 << b) != 0).map(EventId).collect();
             for v in inst.event_ids() {
                 let by_word = flat.conflicts_with_occupied(&occupied, v);
-                let by_probe = CoreView::insertion_point(&*flat, &events, v).is_none();
+                let by_probe = flat.insertion_point(&events, v).is_none();
                 assert_eq!(by_word, by_probe, "mask {mask:04b} probe {v}");
             }
         }
-    }
-
-    #[test]
-    fn object_path_switch_scopes_to_closure() {
-        assert!(!object_path_forced());
-        let inner = with_object_path(|| {
-            assert!(object_path_forced());
-            with_object_path(object_path_forced)
-        });
-        assert!(inner);
-        assert!(!object_path_forced());
     }
 
     #[test]

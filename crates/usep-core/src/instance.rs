@@ -1092,4 +1092,21 @@ mod tests {
         let inst = small_grid_instance();
         assert!((inst.total_utility_mass() - 2.1).abs() < 1e-5);
     }
+
+    /// Ω is reported on instances that are never solved (a serving
+    /// client checking responses against its own copy), so it must read
+    /// the stored μ and leave the flat view unbuilt.
+    #[test]
+    fn omega_leaves_an_unfrozen_instance_unfrozen() {
+        use crate::{Planning, Schedule};
+        let inst = small_grid_instance();
+        let schedules = vec![
+            Schedule::from_events_unchecked(vec![EventId(0), EventId(1)]),
+            Schedule::from_events_unchecked(vec![EventId(2)]),
+        ];
+        let planning = Planning::from_schedules(&inst, schedules);
+        assert!(inst.flat.get().is_none(), "fixture starts unfrozen");
+        assert!((planning.omega(&inst) - 2.1).abs() < 1e-5);
+        assert!(inst.flat.get().is_none(), "omega built the flat view");
+    }
 }

@@ -58,14 +58,13 @@ pub mod stats;
 pub mod temporal;
 pub mod time;
 pub mod user;
-pub mod view;
 
 pub use codec::CodecError;
 pub use cost::Cost;
 pub use error::{BuildError, ConstraintViolation, PlanningError, ValidateError};
 pub use event::Event;
 pub use fairness::FairnessStats;
-pub use flat::{object_path_forced, with_object_path, FlatInstance};
+pub use flat::{normalize_utility, FlatInstance};
 pub use geo::Point;
 pub use ids::{EventId, UserId};
 pub use instance::patch::PatchError;
@@ -76,4 +75,3 @@ pub use stats::PlanningStats;
 pub use temporal::TemporalIndex;
 pub use time::TimeInterval;
 pub use user::User;
-pub use view::{normalize_utility, CoreView};

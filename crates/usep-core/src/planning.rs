@@ -1,6 +1,7 @@
 //! Plannings — one schedule per user — and the USEP objective Ω.
 
 use crate::error::{ConstraintViolation, PlanningError};
+use crate::flat::normalize_utility;
 use crate::ids::{EventId, UserId};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
@@ -63,15 +64,17 @@ impl Planning {
     }
 
     /// Whether `(v, u)` can be added without violating any of the four
-    /// USEP constraints.
+    /// USEP constraints. The schedule-level checks run on the frozen
+    /// view ([`Instance::freeze`]).
     pub fn can_assign(&self, inst: &Instance, u: UserId, v: EventId) -> bool {
         self.remaining_capacity(inst, v) > 0
             && inst.mu(v, u) > 0.0
-            && self.schedules[u.index()].can_insert(inst, u, v)
+            && self.schedules[u.index()].can_insert(&inst.freeze(), u, v)
     }
 
     /// Adds event `v` to the schedule of user `u`, enforcing all four
-    /// constraints.
+    /// constraints. The schedule-level checks run on the frozen view
+    /// ([`Instance::freeze`]).
     pub fn assign(&mut self, inst: &Instance, u: UserId, v: EventId) -> Result<(), PlanningError> {
         if self.remaining_capacity(inst, v) == 0 {
             return Err(PlanningError::EventFull(v));
@@ -79,7 +82,7 @@ impl Planning {
         if inst.mu(v, u) <= 0.0 {
             return Err(PlanningError::ZeroUtility(v, u));
         }
-        match self.schedules[u.index()].try_insert(inst, u, v) {
+        match self.schedules[u.index()].try_insert(&inst.freeze(), u, v) {
             Ok(_) => {
                 self.load[v.index()] += 1;
                 Ok(())
@@ -101,12 +104,18 @@ impl Planning {
     }
 
     /// The total utility score `Ω(A) = Σ_u Σ_{v ∈ S_u} μ(v, u)` (Eq. 1).
+    ///
+    /// Sums the instance's stored μ directly, so reporting Ω on an
+    /// instance that was never solved does not build its flat view.
     pub fn omega(&self, inst: &Instance) -> f64 {
-        crate::view::normalize_utility(
+        normalize_utility(
             self.schedules
                 .iter()
                 .enumerate()
-                .map(|(u, s)| s.utility(inst, UserId(u as u32)))
+                .map(|(u, s)| {
+                    let u = UserId(u as u32);
+                    normalize_utility(s.events().iter().map(|&v| inst.mu(v, u)).sum::<f64>())
+                })
                 .sum::<f64>(),
         )
     }
@@ -140,37 +149,8 @@ impl Planning {
         }
         for (ui, s) in self.schedules.iter().enumerate() {
             let u = UserId(ui as u32);
-            // duplicates
-            for (i, &a) in s.events().iter().enumerate() {
-                if s.events()[i + 1..].contains(&a) {
-                    return Err(ConstraintViolation::DuplicateEvent { user: u, event: a });
-                }
-            }
-            // feasibility (constraint 3)
-            for w in s.events().windows(2) {
-                if !inst.event(w[0]).time.precedes(inst.event(w[1]).time) {
-                    return Err(ConstraintViolation::Feasibility {
-                        user: u,
-                        detail: format!("{} does not precede {}", w[0], w[1]),
-                    });
-                }
-                if inst.cost_vv(w[0], w[1]).is_infinite() {
-                    return Err(ConstraintViolation::Feasibility {
-                        user: u,
-                        detail: format!("leg {} → {} unreachable", w[0], w[1]),
-                    });
-                }
-            }
-            // budget (constraint 2)
-            let cost = s.total_cost(inst, u);
-            let budget = inst.user(u).budget;
-            if cost > budget {
-                return Err(ConstraintViolation::Budget {
-                    user: u,
-                    cost: cost.finite_value().map_or(u64::MAX, u64::from),
-                    budget: u64::from(budget.value()),
-                });
-            }
+            // duplicates, feasibility (constraint 3) and budget (2)
+            s.check(inst, u)?;
             // utility (constraint 4)
             for &v in s.events() {
                 if inst.mu(v, u) <= 0.0 {
@@ -277,10 +257,11 @@ mod tests {
     #[test]
     fn from_schedules_recomputes_load() {
         let inst = two_user_instance();
+        let flat = inst.freeze();
         let mut s0 = Schedule::new();
-        s0.try_insert(&inst, UserId(0), EventId(0)).unwrap();
+        s0.try_insert(&flat, UserId(0), EventId(0)).unwrap();
         let mut s1 = Schedule::new();
-        s1.try_insert(&inst, UserId(1), EventId(1)).unwrap();
+        s1.try_insert(&flat, UserId(1), EventId(1)).unwrap();
         let p = Planning::from_schedules(&inst, vec![s0, s1]);
         assert_eq!(p.load(EventId(0)), 1);
         assert_eq!(p.load(EventId(1)), 1);
@@ -290,11 +271,12 @@ mod tests {
     #[test]
     fn validate_catches_capacity_violation() {
         let inst = two_user_instance();
+        let flat = inst.freeze();
         // force both users onto the capacity-1 event
         let mut s0 = Schedule::new();
-        s0.try_insert(&inst, UserId(0), EventId(0)).unwrap();
+        s0.try_insert(&flat, UserId(0), EventId(0)).unwrap();
         let mut s1 = Schedule::new();
-        s1.try_insert(&inst, UserId(1), EventId(0)).unwrap();
+        s1.try_insert(&flat, UserId(1), EventId(0)).unwrap();
         let p = Planning::from_schedules(&inst, vec![s0, s1]);
         assert!(matches!(
             p.validate(&inst).unwrap_err(),

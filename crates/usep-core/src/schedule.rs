@@ -1,9 +1,10 @@
 //! Per-user schedules and the incremental-cost computation of Eq. (3).
 
 use crate::cost::Cost;
+use crate::error::ConstraintViolation;
+use crate::flat::FlatInstance;
 use crate::ids::{EventId, UserId};
 use crate::instance::Instance;
-use crate::view::CoreView;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -40,8 +41,10 @@ impl Error for InsertError {}
 /// pairwise non-overlapping.
 ///
 /// The schedule does not store which user it belongs to; methods that need
-/// costs take the `(instance, user)` pair explicitly, which keeps the type
-/// a plain data container the algorithms can shuffle around freely.
+/// costs take the `(view, user)` pair explicitly, which keeps the type a
+/// plain data container the algorithms can shuffle around freely. The
+/// Eq.-(3) operations run on the frozen [`FlatInstance`]
+/// ([`Instance::freeze`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schedule {
     pub(crate) events: Vec<EventId>,
@@ -110,13 +113,12 @@ impl Schedule {
     /// conflicts in time with a scheduled event (or is a duplicate).
     ///
     /// Because the schedule is time-ordered and non-overlapping, the
-    /// events that precede `v` form a prefix; `v` fits iff every remaining
-    /// event succeeds it, which only the first needs to be checked for.
-    /// (One shared implementation lives on [`CoreView`]; solver hot
-    /// paths call it on a [`FlatInstance`](crate::FlatInstance), which
-    /// replaces the interval scan with conflict-bitmask probes.)
-    pub fn insertion_point<V: CoreView + ?Sized>(&self, inst: &V, v: EventId) -> Option<usize> {
-        CoreView::insertion_point(inst, &self.events, v)
+    /// events that precede `v` form a prefix; `v` fits iff no scheduled
+    /// event conflicts with it, which the view's conflict bitmask answers
+    /// per event (see [`FlatInstance::insertion_point`]).
+    #[inline]
+    pub fn insertion_point(&self, flat: &FlatInstance, v: EventId) -> Option<usize> {
+        flat.insertion_point(&self.events, v)
     }
 
     /// The incremental travel cost `inc_cost(v, u)` of Eq. (3): the extra
@@ -126,48 +128,49 @@ impl Schedule {
     ///
     /// Under the triangle inequality (validated at instance build) the
     /// increment is non-negative.
-    pub fn inc_cost<V: CoreView + ?Sized>(&self, inst: &V, u: UserId, v: EventId) -> Cost {
-        let Some(pos) = self.insertion_point(inst, v) else {
-            return Cost::INFINITE;
-        };
-        self.inc_cost_at(inst, u, v, pos)
+    #[inline]
+    pub fn inc_cost(&self, flat: &FlatInstance, u: UserId, v: EventId) -> Cost {
+        flat.inc_cost(&self.events, u, v)
     }
 
     /// Eq. (3) with a precomputed insertion point (see
-    /// [`Schedule::insertion_point`]); the shared slice implementation
-    /// is [`CoreView::inc_cost_at`].
-    pub fn inc_cost_at<V: CoreView + ?Sized>(&self, inst: &V, u: UserId, v: EventId, pos: usize) -> Cost {
-        CoreView::inc_cost_at(inst, &self.events, u, v, pos)
+    /// [`Schedule::insertion_point`]).
+    #[inline]
+    pub fn inc_cost_at(&self, flat: &FlatInstance, u: UserId, v: EventId, pos: usize) -> Cost {
+        flat.inc_cost_at(&self.events, u, v, pos)
     }
 
     /// Total round-trip travel cost of the schedule for user `u`:
     /// `cost(u, v_1) + Σ cost(v_{i-1}, v_i) + cost(v_k, u)`; zero when
     /// empty, infinite when any leg is unreachable.
-    pub fn total_cost<V: CoreView + ?Sized>(&self, inst: &V, u: UserId) -> Cost {
-        CoreView::total_cost(inst, &self.events, u)
+    #[inline]
+    pub fn total_cost(&self, flat: &FlatInstance, u: UserId) -> Cost {
+        flat.total_cost(&self.events, u)
     }
 
     /// Total utility `Ω(S_u) = Σ_{v ∈ S_u} μ(v, u)`, `-0.0`-normalized
     /// through [`normalize_utility`](crate::normalize_utility).
-    pub fn utility<V: CoreView + ?Sized>(&self, inst: &V, u: UserId) -> f64 {
-        CoreView::utility(inst, &self.events, u)
+    #[inline]
+    pub fn utility(&self, flat: &FlatInstance, u: UserId) -> f64 {
+        flat.utility(&self.events, u)
     }
 
     /// Attempts to insert `v`, enforcing time feasibility, leg
     /// reachability and the budget of `u`. Returns the insertion position.
-    pub fn try_insert<V: CoreView + ?Sized>(&mut self, inst: &V, u: UserId, v: EventId) -> Result<usize, InsertError> {
+    #[inline]
+    pub fn try_insert(&mut self, flat: &FlatInstance, u: UserId, v: EventId) -> Result<usize, InsertError> {
         if self.contains(v) {
             return Err(InsertError::Duplicate);
         }
-        let Some(pos) = self.insertion_point(inst, v) else {
+        let Some(pos) = self.insertion_point(flat, v) else {
             return Err(InsertError::TimeConflict);
         };
-        let inc = self.inc_cost_at(inst, u, v, pos);
+        let inc = self.inc_cost_at(flat, u, v, pos);
         if inc.is_infinite() {
             return Err(InsertError::Unreachable);
         }
-        let new_total = self.total_cost(inst, u).add(inc);
-        if new_total > inst.budget(u) {
+        let new_total = self.total_cost(flat, u).add(inc);
+        if new_total > flat.budget(u) {
             return Err(InsertError::OverBudget);
         }
         self.events.insert(pos, v);
@@ -178,8 +181,9 @@ impl Schedule {
     /// schedule-level constraints (time, reachability, budget). Does not
     /// check capacity or utility — those live on
     /// [`Planning`](crate::Planning).
-    pub fn can_insert<V: CoreView + ?Sized>(&self, inst: &V, u: UserId, v: EventId) -> bool {
-        CoreView::can_insert(inst, &self.events, u, v)
+    #[inline]
+    pub fn can_insert(&self, flat: &FlatInstance, u: UserId, v: EventId) -> bool {
+        flat.can_insert(&self.events, u, v)
     }
 
     /// Removes `v` if present, returning whether it was.
@@ -232,42 +236,54 @@ impl Schedule {
             prev = Some(v);
         }
         let last = *self.events.last().expect("non-empty");
+        let flat = inst.freeze();
         let _ = writeln!(
             out,
             "  return leg {}; total cost {} of budget {}; Ω(S_u) = {:.3}",
             inst.cost_from_event(last, u),
-            self.total_cost(inst, u),
+            self.total_cost(&flat, u),
             user.budget,
-            self.utility(inst, u)
+            self.utility(&flat, u)
         );
         out
     }
 
-    /// Full feasibility audit of this schedule for user `u` (time order,
-    /// non-overlap, reachable legs, budget, duplicates). Used by tests
-    /// and by `Planning::validate`.
-    pub fn check(&self, inst: &Instance, u: UserId) -> Result<(), String> {
+    /// Full schedule-level audit for user `u`, read from the instance's
+    /// own accessors: no duplicates, consecutive events in time order
+    /// with reachable legs, and total travel within the budget
+    /// (constraints 2–3). [`Planning::validate`](crate::Planning::validate)
+    /// runs it per user and reports the first violation in this order;
+    /// like [`Schedule::can_insert`], it leaves utility to the planning.
+    pub fn check(&self, inst: &Instance, u: UserId) -> Result<(), ConstraintViolation> {
+        for (i, &a) in self.events.iter().enumerate() {
+            if self.events[i + 1..].contains(&a) {
+                return Err(ConstraintViolation::DuplicateEvent { user: u, event: a });
+            }
+        }
+        let infeasible = |detail| Err(ConstraintViolation::Feasibility { user: u, detail });
         for w in self.events.windows(2) {
             if !inst.event(w[0]).time.precedes(inst.event(w[1]).time) {
-                return Err(format!("{} does not precede {}", w[0], w[1]));
+                return infeasible(format!("{} does not precede {}", w[0], w[1]));
             }
             if inst.cost_vv(w[0], w[1]).is_infinite() {
-                return Err(format!("leg {} → {} unreachable", w[0], w[1]));
+                return infeasible(format!("leg {} → {} unreachable", w[0], w[1]));
             }
         }
-        for (i, &a) in self.events.iter().enumerate() {
-            for &b in &self.events[i + 1..] {
-                if a == b {
-                    return Err(format!("duplicate event {a}"));
-                }
-            }
-        }
-        let total = self.total_cost(inst, u);
-        if total > inst.user(u).budget {
-            return Err(format!(
-                "total cost {total} exceeds budget {}",
-                inst.user(u).budget
-            ));
+        let cost = match (self.events.first(), self.events.last()) {
+            (Some(&first), Some(&last)) => self
+                .events
+                .windows(2)
+                .fold(inst.cost_to_event(u, first), |c, w| c.add(inst.cost_vv(w[0], w[1])))
+                .add(inst.cost_from_event(last, u)),
+            _ => Cost::ZERO,
+        };
+        let budget = inst.user(u).budget;
+        if cost > budget {
+            return Err(ConstraintViolation::Budget {
+                user: u,
+                cost: cost.finite_value().map_or(u64::MAX, u64::from),
+                budget: u64::from(budget.value()),
+            });
         }
         Ok(())
     }
@@ -304,48 +320,53 @@ mod tests {
     #[test]
     fn inc_cost_empty_schedule_is_round_trip() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let s = Schedule::new();
-        assert_eq!(s.inc_cost(&inst, U, EventId(0)), Cost::new(10));
-        assert_eq!(s.inc_cost(&inst, U, EventId(3)), Cost::new(50));
+        assert_eq!(s.inc_cost(&flat, U, EventId(0)), Cost::new(10));
+        assert_eq!(s.inc_cost(&flat, U, EventId(3)), Cost::new(50));
     }
 
     #[test]
     fn inc_cost_prepend() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(1)).unwrap();
+        s.try_insert(&flat, U, EventId(1)).unwrap();
         // prepend v0: cost(u,v0) + cost(v0,v1) - cost(u,v1) = 5 + 10 - 5 = 10
-        assert_eq!(s.inc_cost(&inst, U, EventId(0)), Cost::new(10));
+        assert_eq!(s.inc_cost(&flat, U, EventId(0)), Cost::new(10));
     }
 
     #[test]
     fn inc_cost_append() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(1)).unwrap();
+        s.try_insert(&flat, U, EventId(1)).unwrap();
         // append v2: cost(v1,v2) + cost(v2,u) - cost(v1,u) = 10 + 15 - 5 = 20
-        assert_eq!(s.inc_cost(&inst, U, EventId(2)), Cost::new(20));
+        assert_eq!(s.inc_cost(&flat, U, EventId(2)), Cost::new(20));
     }
 
     #[test]
     fn inc_cost_middle() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(0)).unwrap();
-        s.try_insert(&inst, U, EventId(2)).unwrap();
+        s.try_insert(&flat, U, EventId(0)).unwrap();
+        s.try_insert(&flat, U, EventId(2)).unwrap();
         // insert v1 between: cost(v0,v1) + cost(v1,v2) - cost(v0,v2) = 10+10-20 = 0
-        assert_eq!(s.inc_cost(&inst, U, EventId(1)), Cost::ZERO);
+        assert_eq!(s.inc_cost(&flat, U, EventId(1)), Cost::ZERO);
     }
 
     #[test]
     fn inc_cost_matches_total_cost_delta() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
         for v in [EventId(2), EventId(0), EventId(3), EventId(1)] {
-            let before = s.total_cost(&inst, U);
-            let inc = s.inc_cost(&inst, U, v);
-            s.try_insert(&inst, U, v).unwrap();
-            assert_eq!(s.total_cost(&inst, U), before.add(inc));
+            let before = s.total_cost(&flat, U);
+            let inc = s.inc_cost(&flat, U, v);
+            s.try_insert(&flat, U, v).unwrap();
+            assert_eq!(s.total_cost(&flat, U), before.add(inc));
         }
         assert_eq!(s.events(), &[EventId(0), EventId(1), EventId(2), EventId(3)]);
     }
@@ -361,17 +382,18 @@ mod tests {
             b.utility(EventId(v), u, 0.5);
         }
         let inst = b.build().unwrap();
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(0)).unwrap();
-        assert_eq!(s.insertion_point(&inst, EventId(1)), None);
-        assert_eq!(s.insertion_point(&inst, EventId(2)), Some(1));
-        assert_eq!(s.insertion_point(&inst, EventId(0)), None); // duplicate
+        s.try_insert(&flat, U, EventId(0)).unwrap();
+        assert_eq!(s.insertion_point(&flat, EventId(1)), None);
+        assert_eq!(s.insertion_point(&flat, EventId(2)), Some(1));
+        assert_eq!(s.insertion_point(&flat, EventId(0)), None); // duplicate
         assert_eq!(
-            s.clone().try_insert(&inst, U, EventId(1)).unwrap_err(),
+            s.clone().try_insert(&flat, U, EventId(1)).unwrap_err(),
             InsertError::TimeConflict
         );
         assert_eq!(
-            s.clone().try_insert(&inst, U, EventId(0)).unwrap_err(),
+            s.clone().try_insert(&flat, U, EventId(0)).unwrap_err(),
             InsertError::Duplicate
         );
     }
@@ -379,13 +401,14 @@ mod tests {
     #[test]
     fn budget_enforced() {
         let inst = line_instance(25);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(0)).unwrap(); // cost 10
+        s.try_insert(&flat, U, EventId(0)).unwrap(); // cost 10
         // adding v1 would make total cost 5 + 10 + 5 = 20 ≤ 25: ok
-        s.try_insert(&inst, U, EventId(1)).unwrap();
+        s.try_insert(&flat, U, EventId(1)).unwrap();
         // adding v2 would make total 5 + 10 + 10 + 15 = 40 > 25
-        assert_eq!(s.try_insert(&inst, U, EventId(2)).unwrap_err(), InsertError::OverBudget);
-        assert!(!s.can_insert(&inst, U, EventId(2)));
+        assert_eq!(s.try_insert(&flat, U, EventId(2)).unwrap_err(), InsertError::OverBudget);
+        assert!(!s.can_insert(&flat, U, EventId(2)));
         assert!(s.check(&inst, U).is_ok());
     }
 
@@ -400,52 +423,57 @@ mod tests {
         b.utility(EventId(1), u, 0.5);
         b.travel(crate::instance::TravelCost::Grid { time_per_unit: 1 });
         let inst = b.build().unwrap();
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(0)).unwrap();
-        assert!(s.inc_cost(&inst, U, EventId(1)).is_infinite());
-        assert_eq!(s.try_insert(&inst, U, EventId(1)).unwrap_err(), InsertError::Unreachable);
+        s.try_insert(&flat, U, EventId(0)).unwrap();
+        assert!(s.inc_cost(&flat, U, EventId(1)).is_infinite());
+        assert_eq!(s.try_insert(&flat, U, EventId(1)).unwrap_err(), InsertError::Unreachable);
     }
 
     #[test]
     fn remove_keeps_feasibility_and_reduces_cost() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
         for v in 0..4 {
-            s.try_insert(&inst, U, EventId(v)).unwrap();
+            s.try_insert(&flat, U, EventId(v)).unwrap();
         }
-        let before = s.total_cost(&inst, U);
+        let before = s.total_cost(&flat, U);
         assert!(s.remove(EventId(1)));
         assert!(!s.remove(EventId(1)));
         assert!(s.check(&inst, U).is_ok());
-        assert!(s.total_cost(&inst, U) <= before);
+        assert!(s.total_cost(&flat, U) <= before);
         assert_eq!(s.len(), 3);
     }
 
     #[test]
     fn utility_sums_mu() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(0)).unwrap();
-        s.try_insert(&inst, U, EventId(2)).unwrap();
-        assert!((s.utility(&inst, U) - 1.0).abs() < 1e-9);
+        s.try_insert(&flat, U, EventId(0)).unwrap();
+        s.try_insert(&flat, U, EventId(2)).unwrap();
+        assert!((s.utility(&flat, U) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_schedule_properties() {
         let inst = line_instance(10);
+        let flat = inst.freeze();
         let s = Schedule::new();
         assert!(s.is_empty());
-        assert_eq!(s.total_cost(&inst, U), Cost::ZERO);
-        assert_eq!(s.utility(&inst, U), 0.0);
+        assert_eq!(s.total_cost(&flat, U), Cost::ZERO);
+        assert_eq!(s.utility(&flat, U), 0.0);
         assert!(s.check(&inst, U).is_ok());
     }
 
     #[test]
     fn describe_renders_legs_and_totals() {
         let inst = line_instance(1000);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
-        s.try_insert(&inst, U, EventId(0)).unwrap();
-        s.try_insert(&inst, U, EventId(1)).unwrap();
+        s.try_insert(&flat, U, EventId(0)).unwrap();
+        s.try_insert(&flat, U, EventId(1)).unwrap();
         let text = s.describe(&inst, U);
         assert!(text.contains("itinerary of u0"));
         assert!(text.contains("v0"));

@@ -35,6 +35,7 @@ impl PlanningStats {
         let mut users_served = 0usize;
         let mut max_len = 0usize;
         let mut budget_util_sum = 0.0;
+        let flat = inst.freeze();
         for u in inst.user_ids() {
             let s = planning.schedule(u);
             if s.is_empty() {
@@ -43,7 +44,7 @@ impl PlanningStats {
             users_served += 1;
             assignments += s.len();
             max_len = max_len.max(s.len());
-            let cost = s.total_cost(inst, u);
+            let cost = s.total_cost(&flat, u);
             let budget = inst.user(u).budget;
             if budget > crate::cost::Cost::ZERO {
                 budget_util_sum += cost.as_f64() / budget.as_f64();

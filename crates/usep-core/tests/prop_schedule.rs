@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use usep_core::{
-    Cost, CoreView, EventId, Instance, InstanceBuilder, Planning, Point, Schedule, TimeInterval,
-    UserId,
+    Cost, EventId, InsertError, Instance, InstanceBuilder, Planning, Point, Schedule,
+    TimeInterval, UserId,
 };
 
 /// Strategy: a random grid instance with `nv` events and `nu` users.
@@ -89,6 +89,18 @@ fn raw_round_trip(inst: &Instance, u: UserId, events: &[EventId]) -> u64 {
     total + inst.event(last).location.manhattan(home)
 }
 
+/// The Def.-1 time check by intervals alone, sharing nothing with the
+/// conflict bitmask: `None` when `v` is already in `events` or overlaps
+/// one of them, else the number of scheduled events that precede it —
+/// its insertion position in a time-ordered, non-overlapping schedule.
+fn interval_insertion_point(inst: &Instance, events: &[EventId], v: EventId) -> Option<usize> {
+    let t = inst.event(v).time;
+    if events.iter().any(|&e| e == v || inst.event(e).time.overlaps(t)) {
+        return None;
+    }
+    Some(events.iter().filter(|&&e| inst.event(e).time.precedes(t)).count())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -118,11 +130,12 @@ proptest! {
                 }
             }
         }
+        let flat = inst.freeze();
         let mut s = Schedule::new();
         for v in evs {
-            if s.try_insert(&inst, u, v).is_ok() {
+            if s.try_insert(&flat, u, v).is_ok() {
                 let expected = raw_round_trip(&inst, u, s.events());
-                let got = s.total_cost(&inst, u);
+                let got = s.total_cost(&flat, u);
                 prop_assert!(got.is_finite());
                 prop_assert_eq!(u64::from(got.value()), expected);
             }
@@ -134,6 +147,7 @@ proptest! {
     #[test]
     fn inc_cost_equals_total_cost_delta(inst in arb_instance(8, 3), order in any::<u64>()) {
         let u = UserId(0);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
         let mut evs: Vec<EventId> = inst.event_ids().collect();
         // pseudo-shuffle
@@ -143,15 +157,15 @@ proptest! {
             evs.swap(i, (seed >> 33) as usize % (i + 1));
         }
         for v in evs {
-            let before = s.total_cost(&inst, u);
-            let inc = s.inc_cost(&inst, u, v);
-            match s.try_insert(&inst, u, v) {
+            let before = s.total_cost(&flat, u);
+            let inc = s.inc_cost(&flat, u, v);
+            match s.try_insert(&flat, u, v) {
                 Ok(_) => {
                     prop_assert!(inc.is_finite());
-                    prop_assert_eq!(s.total_cost(&inst, u), before.add(inc));
+                    prop_assert_eq!(s.total_cost(&flat, u), before.add(inc));
                     prop_assert!(s.check(&inst, u).is_ok());
                 }
-                Err(usep_core::InsertError::OverBudget) => {
+                Err(InsertError::OverBudget) => {
                     prop_assert!(inc.is_finite());
                     prop_assert!(before.add(inc) > inst.user(u).budget);
                 }
@@ -165,16 +179,17 @@ proptest! {
     #[test]
     fn removal_is_safe(inst in arb_instance(8, 2), pick in any::<usize>()) {
         let u = UserId(0);
+        let flat = inst.freeze();
         let mut s = Schedule::new();
         for v in inst.event_ids() {
-            let _ = s.try_insert(&inst, u, v);
+            let _ = s.try_insert(&flat, u, v);
         }
         prop_assume!(!s.is_empty());
-        let before = s.total_cost(&inst, u);
+        let before = s.total_cost(&flat, u);
         let victim = s.events()[pick % s.len()];
         prop_assert!(s.remove(victim));
         prop_assert!(s.check(&inst, u).is_ok());
-        prop_assert!(s.total_cost(&inst, u) <= before);
+        prop_assert!(s.total_cost(&flat, u) <= before);
     }
 
     /// A planning mutated by any assign/unassign sequence always
@@ -240,12 +255,13 @@ proptest! {
         }
     }
 
-    /// The flat view's bitmask feasibility must agree with the legacy
-    /// interval logic on every query — `insertion_point`, the raw
-    /// word-AND occupancy probe, and full `try_insert` drives (same
-    /// position or the same error kind) — on random instances where
-    /// exactly-touching endpoints are common and the op stream retries
-    /// already-scheduled events (duplicate case, the diagonal bit).
+    /// The flat view's bitmask feasibility must agree with a plain
+    /// interval scan on every query — `insertion_point`, the raw
+    /// word-AND occupancy probe, and full `try_insert` drives (the same
+    /// position, or `Duplicate` / `TimeConflict` exactly when the scan
+    /// rejects) — on random instances where exactly-touching endpoints
+    /// are common and the op stream retries already-scheduled events
+    /// (duplicate case, the diagonal bit).
     #[test]
     fn bitmask_feasibility_matches_interval_logic(
         inst in arb_coarse_time_instance(10, 2),
@@ -253,25 +269,31 @@ proptest! {
     ) {
         let flat = inst.freeze();
         let u = UserId(0);
-        let mut legacy = Schedule::new();
-        let mut soa = Schedule::new();
+        let mut s = Schedule::new();
         for op in ops {
             // mod keeps re-picking the same events, so duplicate
             // insertion attempts against a populated schedule occur
             let v = EventId(op % inst.num_events() as u32);
-            let events: Vec<EventId> = legacy.events().to_vec();
-            let obj_pos = CoreView::insertion_point(&inst, &events, v);
-            let flat_pos = CoreView::insertion_point(&*flat, &events, v);
-            prop_assert_eq!(obj_pos, flat_pos);
+            let events: Vec<EventId> = s.events().to_vec();
+            let expected = interval_insertion_point(&inst, &events, v);
+            prop_assert_eq!(flat.insertion_point(&events, v), expected);
             let mut occupied = vec![0u64; flat.words()];
             for &e in &events {
                 occupied[e.index() / 64] |= 1 << (e.index() % 64);
             }
-            prop_assert_eq!(flat.conflicts_with_occupied(&occupied, v), obj_pos.is_none());
-            let via_object = legacy.try_insert(&inst, u, v);
-            let via_flat = soa.try_insert(&*flat, u, v);
-            prop_assert_eq!(via_object, via_flat);
-            prop_assert_eq!(legacy.events(), soa.events());
+            prop_assert_eq!(flat.conflicts_with_occupied(&occupied, v), expected.is_none());
+            match (expected, s.try_insert(&flat, u, v)) {
+                (None, got) => {
+                    let kind =
+                        if events.contains(&v) { InsertError::Duplicate } else { InsertError::TimeConflict };
+                    prop_assert_eq!(got, Err(kind));
+                }
+                (Some(pos), Ok(got)) => prop_assert_eq!(got, pos),
+                (Some(_), Err(e)) => prop_assert!(
+                    matches!(e, InsertError::Unreachable | InsertError::OverBudget),
+                    "time-feasible insertion rejected as {:?}", e
+                ),
+            }
         }
     }
 

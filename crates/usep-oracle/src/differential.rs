@@ -15,11 +15,6 @@
 //!   ratio direction is **not** asserted against the bound: Theorem 3
 //!   guarantees `Ω ≥ ½ · OPT`, and the bound only promises
 //!   `bound ≥ OPT`, so `Ω ≥ ½ · bound` does not follow.
-//!
-//! Every audited path is additionally re-run with the flat SoA lowering
-//! disabled ([`usep_core::with_object_path`]) and the two plannings must
-//! be identical — the object path is the executable specification the
-//! cache-friendly layout is held to.
 
 use crate::oracle::check_planning_with_omega;
 use crate::report::{Finding, Violation};
@@ -66,31 +61,8 @@ pub fn verify_instance(inst: &Instance, probe: &dyn Probe) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut omegas: Vec<(Algorithm, f64)> = Vec::new();
 
-    // flat-vs-object identity: the default run below goes through the
-    // frozen SoA view; the forced object-path re-run must match it
-    // byte for byte. Plain comparison, not an extra oracle check — the
-    // audit count per path stays 1.
-    let check_flat_object = |label: &str, flat: &Planning, object: &Planning,
-                             findings: &mut Vec<Finding>| {
-        if flat != object {
-            findings.push(Finding {
-                algorithm: label.to_string(),
-                violation: Violation::MetamorphicBroken {
-                    relation: "flat_matches_object_path".to_string(),
-                    detail: format!(
-                        "{label}: SoA planning (Ω={}) differs from object-path planning (Ω={})",
-                        flat.omega(inst),
-                        object.omega(inst)
-                    ),
-                },
-            });
-        }
-    };
-
     for algorithm in Algorithm::PAPER_SET {
         let planning = solve(algorithm, inst);
-        let object = usep_core::with_object_path(|| solve(algorithm, inst));
-        check_flat_object(algorithm.name(), &planning, &object, &mut findings);
         let omega =
             audit(inst, &planning, planning.omega(inst), algorithm.name(), probe, &mut findings);
         omegas.push((algorithm, omega));
@@ -99,10 +71,6 @@ pub fn verify_instance(inst: &Instance, probe: &dyn Probe) -> Vec<Finding> {
     // the degradation chain under an unlimited budget must also emit a
     // clean planning (exercises the guarded solve path end to end)
     let guarded = GuardedSolver::new(Algorithm::DeDP, SolveBudget::unlimited()).solve(inst);
-    let guarded_object = usep_core::with_object_path(|| {
-        GuardedSolver::new(Algorithm::DeDP, SolveBudget::unlimited()).solve(inst)
-    });
-    check_flat_object("Guarded(DeDP)", &guarded.planning, &guarded_object.planning, &mut findings);
     audit(
         inst,
         &guarded.planning,
@@ -123,11 +91,6 @@ pub fn verify_instance(inst: &Instance, probe: &dyn Probe) -> Vec<Finding> {
         city: None,
     };
     let response = solve_with_retry(&request, &SolveLimits::default(), probe);
-    let response_object =
-        usep_core::with_object_path(|| solve_with_retry(&request, &SolveLimits::default(), probe));
-    if let (Some(flat), Some(object)) = (&response.planning, &response_object.planning) {
-        check_flat_object("serve", flat, object, &mut findings);
-    }
     match &response.planning {
         Some(planning) => {
             audit(inst, planning, response.omega, "serve", probe, &mut findings);

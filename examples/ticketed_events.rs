@@ -45,7 +45,7 @@ fn main() {
         println!(
             "budget ${budget:>3}: {}  (spends {} on travel+tickets)",
             if what.is_empty() { "stays home".to_string() } else { what.join(" + ") },
-            s.total_cost(&inst, u)
+            s.total_cost(&inst.freeze(), u)
         );
     }
 

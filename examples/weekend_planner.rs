@@ -91,7 +91,7 @@ fn main() {
         println!(
             "{name:>6}: {}  [travel {} of budget {}]",
             legs.join(" → "),
-            s.total_cost(&inst, u),
+            s.total_cost(&inst.freeze(), u),
             inst.user(u).budget
         );
     }

@@ -92,13 +92,13 @@ fn single_user_dp_is_a_usable_day_planner() {
     let (events, score) = optimal_user_schedule(&inst, u, &cands);
     let sched = Schedule::from_time_ordered(&inst, events);
     assert!(sched.check(&inst, u).is_ok());
-    assert!((sched.utility(&inst, u) - score).abs() < 1e-9);
+    assert!((sched.utility(&inst.freeze(), u) - score).abs() < 1e-9);
     // the itinerary renders without panicking and mentions the user
     let text = sched.describe(&inst, u);
     assert!(text.contains("u0"));
     // it is at least as good as what any full planning gives this user
     for a in Algorithm::PAPER_SET {
-        let got = solve(a, &inst).schedule(u).utility(&inst, u);
+        let got = solve(a, &inst).schedule(u).utility(&inst.freeze(), u);
         assert!(got <= score + 1e-9, "{a} gave u0 more than their optimum?");
     }
 }

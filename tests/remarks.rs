@@ -78,7 +78,7 @@ fn fees_are_charged_once_per_attended_event() {
     let u = UserId(0);
     assert_eq!(p.schedule(u).len(), 2);
     // 3 (to v0) + 5 (fee v0) + 0 (to v1) + 7 (fee v1) + 3 (home) = 18
-    assert_eq!(p.schedule(u).total_cost(&inst, u), Cost::new(18));
+    assert_eq!(p.schedule(u).total_cost(&inst.freeze(), u), Cost::new(18));
 }
 
 #[test]
