@@ -7,8 +7,9 @@
 //!
 //! * [`capacity_relaxed_bound`] drops the capacity constraint: each user
 //!   independently gets their DP-optimal schedule (budget, feasibility
-//!   and utility constraints intact). `O(|U| |V|² b)` — the cost of one
-//!   DeDPO step-1 pass.
+//!   and utility constraints intact). `O(|U| |V|² b)` in the worst case,
+//!   where every `Ω(i, T)` state is on its row's Pareto frontier; in
+//!   practice the cost of one DeDPO step-1 pass, frontier states relaxed.
 //! * [`budget_relaxed_bound`] drops budgets and feasibility: each event
 //!   collects its `min(c_v, |U|)` largest positive utilities.
 //!   `O(|V| |U| log |U|)`.

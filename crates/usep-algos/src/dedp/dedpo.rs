@@ -67,13 +67,19 @@ impl Solver for DeDPO {
 /// For each user `u_r` (in id order, as the paper's decomposition
 /// prescribes):
 ///
-/// 1. per event, scan its slots and pick the one maximizing the Lemma-2
-///    value (ascending-`k` scan with strict improvement, mirroring
-///    DeDP's `argmax` so both algorithms break ties identically);
+/// 1. per event, pick the slot maximizing the Lemma-2 value — the first
+///    one in ascending `k`, mirroring DeDP's strict-improvement `argmax`
+///    so both algorithms break ties identically;
 /// 2. keep candidates with positive decomposed utility (`V_r`) that pass
 ///    the Lemma-1 round-trip filter (`V'_r`), in end-time order;
 /// 3. let `scheduler` solve the single-user subproblem;
 /// 4. stamp the chosen slots with `r + 1`.
+///
+/// Beside `select`, `held[p]` caches the holder's `μ` (0 while free) and
+/// `floor[v]` the least `held` over `v`'s slots. The best Lemma-2 value of
+/// `v` is `μ(v, u_r) − floor[v]`, since `x ↦ μ − x` stays monotone after
+/// rounding: an event with `μ(v, u_r) ≤ floor[v]` is skipped outright,
+/// and otherwise the pick is the first slot whose value reaches it.
 ///
 /// Step 2 of the framework — keep each slot with its last holder — is
 /// exactly what the final `select` array encodes.
@@ -86,6 +92,8 @@ pub(crate) fn decomposed_with_select(
     let flat = inst.freeze();
     let layout = PseudoLayout::new(inst);
     let mut select = vec![0u32; layout.total()];
+    let mut held = vec![0.0f32; layout.total()];
+    let mut floor = vec![0.0f32; inst.num_events()];
     let order = inst.temporal().order();
     let mut cands: Vec<Candidate> = Vec::with_capacity(inst.num_events());
 
@@ -105,31 +113,27 @@ pub(crate) fn decomposed_with_select(
         let (round_trips, budget) = (flat.round_trip_row(u), flat.budget(u));
         cands.clear();
         for &vi in order {
-            let v = EventId(vi);
             let mu_vr = f64::from(mu_row[vi as usize]);
-            if mu_vr <= 0.0 {
-                // every slot value is μ(v, u_r) − (≥ 0) ≤ 0: never in V_r
+            let floor_v = f64::from(floor[vi as usize]);
+            // every slot value is μ(v, u_r) − held ≤ μ(v, u_r) − floor ≤ 0:
+            // never in V_r
+            if mu_vr <= floor_v || round_trips[vi as usize] > budget {
                 continue;
             }
-            let mut best_val = f64::NEG_INFINITY;
-            let mut best_slot = 0usize;
-            for p in layout.slots(v) {
-                let val = match select[p] {
-                    0 => mu_vr,
-                    holder => mu_vr - flat.mu(v, UserId(holder - 1)),
-                };
-                if val > best_val {
-                    best_val = val;
-                    best_slot = p;
-                }
-            }
-            if best_val > 0.0 && round_trips[vi as usize] <= budget {
-                cands.push(Candidate { v, slot: best_slot as u32, mu: best_val });
-            }
+            let v = EventId(vi);
+            let best_val = mu_vr - floor_v;
+            let best_slot = layout
+                .slots(v)
+                .find(|&p| mu_vr - f64::from(held[p]) >= best_val)
+                .expect("the floor is some slot's holder value");
+            cands.push(Candidate { v, slot: best_slot as u32, mu: best_val });
         }
         let chosen = scheduler.schedule(&flat, u, &cands);
         for &ci in &chosen {
-            select[cands[ci].slot as usize] = r + 1;
+            let (v, p) = (cands[ci].v, cands[ci].slot as usize);
+            select[p] = r + 1;
+            held[p] = mu_row[v.index()];
+            floor[v.index()] = held[layout.slots(v)].iter().copied().fold(f32::INFINITY, f32::min);
         }
     }
     probe.span_exit("decomposed.step1");
@@ -199,6 +203,27 @@ mod tests {
         let p = DeDPO::new().solve(&inst);
         assert_eq!(p.schedule(u0).events(), &[v]);
         assert!(p.schedule(u1).is_empty());
+    }
+
+    #[test]
+    fn slot_pick_ties_on_value_not_on_holder_utility() {
+        // u0 and u1 hold the two slots with different but tiny utilities;
+        // for u2 both slot values round to 1.0, so the first slot (u0's)
+        // is taken, as DeDP's argmax over its literal matrix does
+        let mut b = InstanceBuilder::new();
+        let v = b.event(2, Point::ORIGIN, iv(0, 10));
+        let u0 = b.user(Point::ORIGIN, Cost::new(10));
+        let u1 = b.user(Point::ORIGIN, Cost::new(10));
+        let u2 = b.user(Point::ORIGIN, Cost::new(10));
+        b.utility(v, u0, 2f64.powi(-100));
+        b.utility(v, u1, 2f64.powi(-110));
+        b.utility(v, u2, 1.0);
+        let inst = b.build().unwrap();
+        let p = DeDPO::new().solve(&inst);
+        assert!(p.schedule(u0).is_empty());
+        assert_eq!(p.schedule(u1).events(), &[v]);
+        assert_eq!(p.schedule(u2).events(), &[v]);
+        assert_eq!(p, crate::DeDP::new().solve(&inst));
     }
 
     #[test]

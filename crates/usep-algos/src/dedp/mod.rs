@@ -103,14 +103,6 @@ impl PseudoLayout {
         let o = self.offsets[v.index()] as usize;
         o..o + self.caps[v.index()] as usize
     }
-
-    /// The event owning global slot `p` (O(log |V|)).
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[inline]
-    pub fn event_of(&self, p: usize) -> EventId {
-        let i = self.offsets.partition_point(|&o| o as usize <= p) - 1;
-        EventId(i as u32)
-    }
 }
 
 /// Lemma 1 filter: an event whose lone round trip exceeds the budget can
@@ -140,7 +132,7 @@ pub fn optimal_user_schedule(
 
 /// [`optimal_user_schedule`] against a caller-owned workspace, so a
 /// loop over many users (the capacity-relaxed bound's hot path) reuses
-/// one DP table instead of reallocating it per user.
+/// one DP workspace instead of reallocating it per user.
 pub(crate) fn optimal_user_schedule_with(
     ws: &mut DpScheduler<'_>,
     flat: &FlatInstance,
@@ -230,9 +222,6 @@ mod tests {
         assert_eq!(layout.slots(EventId(0)), 0..3);
         assert_eq!(layout.slots(EventId(1)), 3..6);
         assert_eq!(layout.slots(EventId(2)), 6..7);
-        assert_eq!(layout.event_of(0), EventId(0));
-        assert_eq!(layout.event_of(3), EventId(1));
-        assert_eq!(layout.event_of(6), EventId(2));
     }
 
     #[test]

@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn chain_reaches_ratio_greedy_under_extreme_ceiling() {
         let inst = dense_instance(6, 5);
-        // 1 byte: DeDP skipped by estimate, DeDPO's DP table refused at
+        // 1 byte: DeDP skipped by estimate, DeDPO's DP scratch refused at
         // its first growth, RatioGreedy (no charged allocations) completes
         let budget = SolveBudget::unlimited().with_memory_ceiling(1);
         let report = GuardedSolver::new(Algorithm::DeDP, budget).solve(&inst);

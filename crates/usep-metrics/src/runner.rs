@@ -156,7 +156,7 @@ mod tests {
         assert_eq!(unlimited.outcome, "complete");
         assert!(unlimited.fallbacks.is_empty());
 
-        // a 1-byte ceiling forces DeDPO's DP table reservation to fail
+        // a 1-byte ceiling forces DeDPO's DP scratch reservation to fail
         // and the chain to land on RatioGreedy
         let tight = SolveBudget::unlimited().with_memory_ceiling(1);
         let m = run_measured_guarded(Algorithm::DeDPO, &inst, &tight);
