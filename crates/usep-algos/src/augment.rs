@@ -17,38 +17,24 @@ use usep_trace::{with_span, Counter, Probe, NOOP};
 /// that still have spare capacity. Returns the number of assignments
 /// added.
 pub fn augment_with_ratio_greedy(inst: &Instance, planning: &mut Planning) -> usize {
-    augment_with_ratio_greedy_probed(inst, planning, &NOOP)
+    augment_with_ratio_greedy_guarded(inst, planning, Guard::none(), &NOOP)
 }
 
-/// [`augment_with_ratio_greedy`], reporting through `probe`: the whole
-/// pass runs under an `augment_rg` span and every assignment it adds is
-/// counted as an `augment_swap`.
-pub fn augment_with_ratio_greedy_probed(
-    inst: &Instance,
-    planning: &mut Planning,
-    probe: &dyn Probe,
-) -> usize {
-    augment_with_ratio_greedy_guarded(inst, planning, Guard::none(), probe)
-}
-
-/// [`augment_with_ratio_greedy_probed`] under a budget: the pass stops
-/// at the next checkpoint once `guard` trips. Since it only ever adds
-/// assignments, stopping early leaves the planning valid.
+/// [`augment_with_ratio_greedy`] under a budget, reporting through
+/// `probe`: the pass stops at the next checkpoint once `guard` trips.
+/// Since it only ever adds assignments, stopping early leaves the
+/// planning valid.
 pub fn augment_with_ratio_greedy_guarded(
     inst: &Instance,
     planning: &mut Planning,
     guard: &Guard,
     probe: &dyn Probe,
 ) -> usize {
-    let before = planning.num_assignments();
     let residual: Vec<EventId> = inst
         .event_ids()
         .filter(|&v| planning.remaining_capacity(inst, v) > 0)
         .collect();
-    with_span(probe, "augment_rg", || run_ratio_greedy(inst, planning, &residual, guard, probe));
-    let added = planning.num_assignments() - before;
-    probe.count(Counter::AugmentSwap, added as u64);
-    added
+    augment_events(inst, planning, &residual, guard, probe)
 }
 
 /// Runs the RatioGreedy augmentation engine restricted to an explicit
@@ -65,10 +51,21 @@ pub fn augment_events_with_ratio_greedy(
     events: &[EventId],
     probe: &dyn Probe,
 ) -> usize {
+    augment_events(inst, planning, events, Guard::none(), probe)
+}
+
+/// The pass behind every public entry: RatioGreedy over `events` under
+/// an `augment_rg` span, each added assignment counted as an
+/// `augment_swap`.
+fn augment_events(
+    inst: &Instance,
+    planning: &mut Planning,
+    events: &[EventId],
+    guard: &Guard,
+    probe: &dyn Probe,
+) -> usize {
     let before = planning.num_assignments();
-    with_span(probe, "augment_rg", || {
-        run_ratio_greedy(inst, planning, events, Guard::none(), probe)
-    });
+    with_span(probe, "augment_rg", || run_ratio_greedy(inst, planning, events, guard, probe));
     let added = planning.num_assignments() - before;
     probe.count(Counter::AugmentSwap, added as u64);
     added

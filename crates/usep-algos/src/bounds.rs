@@ -19,7 +19,6 @@
 
 use crate::dedp::{optimal_user_schedule_with, DpScheduler};
 use usep_core::{EventId, FlatInstance, Instance, UserId};
-use usep_guard::Guard;
 use usep_par::{current_threads, par_map_section};
 use usep_trace::{Probe, NOOP};
 
@@ -47,13 +46,11 @@ pub fn capacity_relaxed_bound_with(inst: &Instance, probe: &dyn Probe) -> f64 {
         "par.capacity_relaxed_bound",
         probe,
         &users,
-        Guard::none(),
         DpScheduler::new,
         |ws, _, &u| optimal_user_utility_with(ws, &flat, u),
         |_| (),
     )
     .into_iter()
-    .map(|r| r.expect("no guard was active"))
     .sum()
 }
 

@@ -63,7 +63,7 @@ fn transfer_round(
         planning.assignments().map(|(u, v)| (v, u)).collect();
     pairs.sort_unstable();
     let snapshot: &Planning = planning;
-    let proposals = par_map(threads, &pairs, Guard::none(), |_, &(v, u_from)| {
+    let proposals = par_map(threads, &pairs, |_, &(v, u_from)| {
         let mu_from = flat.mu(v, u_from);
         let mut best: Option<(UserId, f64)> = None;
         for u_to in inst.user_ids() {
@@ -85,7 +85,7 @@ fn transfer_round(
     });
     let mut moves = 0;
     for (k, proposal) in proposals.into_iter().enumerate() {
-        let Some(Some(u_to)) = proposal else { continue };
+        let Some(u_to) = proposal else { continue };
         let (v, u_from) = pairs[k];
         // revalidate against the mutated planning; a skipped proposal is
         // simply re-found (or not) next round
@@ -114,12 +114,10 @@ fn swap_round(
 ) -> usize {
     let users: Vec<UserId> = inst.user_ids().collect();
     let snapshot: &Planning = planning;
-    let proposals = par_map(threads, &users, Guard::none(), |_, &u| {
-        best_swap(inst, flat, snapshot, u)
-    });
+    let proposals = par_map(threads, &users, |_, &u| best_swap(inst, flat, snapshot, u));
     let mut moves = 0;
     for (k, proposal) in proposals.into_iter().enumerate() {
-        let Some(Some((v_out, v_in))) = proposal else { continue };
+        let Some((v_out, v_in)) = proposal else { continue };
         let u = users[k];
         if planning.remaining_capacity(inst, v_in) == 0 {
             continue;

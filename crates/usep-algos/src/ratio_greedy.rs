@@ -37,29 +37,13 @@
 //! `[K_MIN, K_MAX]`: the event takes at most that many more users, so
 //! its list rarely runs dry before the event is full. All lists live in
 //! one allocation sized then; rescans reuse the event's slot.
-//!
-//! # Parallel seeding
-//!
-//! The `O(|U|·|V|)` heap seeding scan fans out over `usep-par` when more
-//! than one thread is configured; it is RatioGreedy's only parallel
-//! section. Scans are pure reads of the planning (each event's scan
-//! writes only its own list slot); the commits (generation bumps and
-//! heap pushes) replay sequentially in index order afterwards, so the
-//! heap — and therefore the final planning — is bit-identical to a
-//! single-threaded run.
 
 use crate::{finish_guarded, GuardedSolve, Solver};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 use usep_core::{Cost, EventId, FlatInstance, Instance, Planning, UserId};
 use usep_guard::Guard;
-use usep_par::{current_threads, par_map_section};
 use usep_trace::{with_span, Counter, LocalCounters, Probe};
-
-/// Below this many scan items a parallel section's thread spawns cost
-/// more than the scans they would offload; stay inline.
-const MIN_PAR_ITEMS: usize = 32;
 
 /// Shortest per-event candidate list: events with little capacity left
 /// (the `+RG` pass, delta repairs) still absorb some churn before a
@@ -197,9 +181,8 @@ fn remaining_capacity(flat: &FlatInstance, planning: &Planning, v: EventId) -> u
 
 /// Validity of the pair per Alg. 1: capacity left, `μ > 0`, not yet in
 /// `S_u`, time-feasible insertion, reachable legs, and budget. Returns
-/// the incremental cost when valid. A pure read of the planning, so
-/// parallel scans may call it concurrently; rejects accumulate in the
-/// caller's local counter block.
+/// the incremental cost when valid. A pure read of the planning; rejects
+/// accumulate in the caller's local counter block.
 ///
 /// The duplicate/time-conflict test is the bitmask word-AND against
 /// `occ`'s row for `u`; the insertion *position* is then recovered with
@@ -388,8 +371,9 @@ fn scan_user(
 struct Slot {
     start: usize,
     cap: usize,
-    /// False until the event's first full scan, which a guard trip can
-    /// skip; an unscanned event has no list to answer from.
+    /// False until the event's first full scan, its seed refresh (which a
+    /// guard trip can skip); an unscanned event has no list to answer
+    /// from.
     scanned: bool,
     len: usize,
     floor: Option<Pick>,
@@ -462,29 +446,6 @@ impl EventLists {
     /// Records that `u`'s schedule changed.
     fn log(&mut self, u: UserId) {
         self.changed.push(u);
-    }
-
-    /// Every event's slot as its own lock, so a parallel seed can hand
-    /// each worker the slots of the events it scans (each lock is only
-    /// ever taken once, by one worker).
-    fn slot_locks(&mut self) -> Vec<Mutex<&mut [Pick]>> {
-        let mut rest = &mut self.picks[..];
-        self.slots
-            .iter()
-            .map(|s| {
-                let (slot, tail) = std::mem::take(&mut rest).split_at_mut(s.cap);
-                rest = tail;
-                Mutex::new(slot)
-            })
-            .collect()
-    }
-
-    /// Marks the event at `pos` scanned after a [`scan_event`] straight
-    /// into its slot (the parallel seed), returning the list head.
-    fn install(&mut self, pos: usize, len: usize, floor: Option<Pick>) -> Option<Pick> {
-        let s = &mut self.slots[pos];
-        *s = Slot { scanned: true, len, floor, seen: self.changed.len(), ..*s };
-        self.picks[s.start..s.start + len].first().copied()
     }
 
     /// The best user for event `v` at `pos` — exactly the answer of a
@@ -573,8 +534,6 @@ struct Engine<'a> {
     /// Maps `EventId` to its position in `events` (u32::MAX = excluded).
     event_pos: Vec<u32>,
     next_gen: u64,
-    /// Worker count for the seed fan-out (resolved once per run).
-    threads: usize,
     guard: &'a Guard,
     probe: &'a dyn Probe,
 }
@@ -608,36 +567,8 @@ impl<'a> Engine<'a> {
             user_best: vec![None; inst.num_users()],
             event_pos,
             next_gen: 1,
-            threads: current_threads(),
             guard,
             probe,
-        }
-    }
-
-    /// The commit half of an event refresh: bumps the generation, stores
-    /// the best pick and pushes it. Commits always run on the driving
-    /// thread, in item-index order.
-    fn commit_event(&mut self, pos: usize, best: Option<Pick>) {
-        self.probe.count(Counter::CandidateRefreshEvent, 1);
-        self.next_gen += 1;
-        self.event_gen[pos] = self.next_gen;
-        self.event_best[pos] = best;
-        if let Some(Pick { u, ratio, inc }) = best {
-            self.probe.count(Counter::HeapPush, 1);
-            let v = self.events[pos];
-            self.heap.push(Cand { ratio, inc, v, u, side: Side::Event, gen: self.next_gen });
-        }
-    }
-
-    /// The commit half of a user refresh.
-    fn commit_user(&mut self, u: UserId, best: Option<(EventId, f64, Cost)>) {
-        self.probe.count(Counter::CandidateRefreshUser, 1);
-        self.next_gen += 1;
-        self.user_gen[u.index()] = self.next_gen;
-        self.user_best[u.index()] = best;
-        if let Some((v, r, inc)) = best {
-            self.probe.count(Counter::HeapPush, 1);
-            self.heap.push(Cand { ratio: r, inc, v, u, side: Side::User, gen: self.next_gen });
         }
     }
 
@@ -648,7 +579,14 @@ impl<'a> Engine<'a> {
         let v = self.events[pos];
         let best = self.lists.best_user(self.flat, self.planning, &self.occ, pos, v, &mut lc);
         lc.flush_into(self.probe);
-        self.commit_event(pos, best);
+        self.probe.count(Counter::CandidateRefreshEvent, 1);
+        self.next_gen += 1;
+        self.event_gen[pos] = self.next_gen;
+        self.event_best[pos] = best;
+        if let Some(Pick { u, ratio, inc }) = best {
+            self.probe.count(Counter::HeapPush, 1);
+            self.heap.push(Cand { ratio, inc, v, u, side: Side::Event, gen: self.next_gen });
+        }
     }
 
     /// Recomputes the best event for user `u` (lines 6–8 / 19–20) and
@@ -657,83 +595,30 @@ impl<'a> Engine<'a> {
         let mut lc = LocalCounters::new();
         let best = scan_user(self.flat, self.planning, &self.occ, self.events, u, &mut lc);
         lc.flush_into(self.probe);
-        self.commit_user(u, best);
+        self.probe.count(Counter::CandidateRefreshUser, 1);
+        self.next_gen += 1;
+        self.user_gen[u.index()] = self.next_gen;
+        self.user_best[u.index()] = best;
+        if let Some((v, r, inc)) = best {
+            self.probe.count(Counter::HeapPush, 1);
+            self.heap.push(Cand { ratio: r, inc, v, u, side: Side::User, gen: self.next_gen });
+        }
     }
 
-    /// Seeds the heap with every event's and every user's best pair.
-    /// With more than one thread the scans fan out over the pool and
-    /// the commits replay in index order, reproducing the sequential
-    /// generation sequence exactly.
+    /// Seeds the heap with every event's and then every user's best
+    /// pair (lines 3–8), checking the guard before each refresh.
     fn seed(&mut self) {
-        let users: Vec<UserId> = self.inst.user_ids().collect();
-        if self.threads > 1 && self.events.len().max(users.len()) >= MIN_PAR_ITEMS {
-            let (flat, probe) = (self.flat, self.probe);
-            let occ = &self.occ;
-            let planning: &Planning = self.planning;
-            let events = self.events;
-            let slots = self.lists.slot_locks();
-            let event_scans = par_map_section(
-                self.threads,
-                "par.seed_events",
-                probe,
-                &slots,
-                self.guard,
-                LocalCounters::new,
-                |lc, pos, slot| {
-                    let mut slot = slot.lock().expect("a slot is locked once, never poisoned");
-                    scan_event(flat, planning, occ, events[pos], &mut slot, lc)
-                },
-                |mut lc| lc.flush_into(probe),
-            );
-            drop(slots);
-            for (pos, scan) in event_scans.into_iter().enumerate() {
-                // a `None` slot means the guard tripped before this
-                // chunk: skip the commit (the event stays unscanned),
-                // the drain loop stops anyway
-                let Some((len, floor)) = scan else { continue };
-                let best = self.lists.install(pos, len, floor);
-                self.commit_event(pos, best);
+        for pos in 0..self.events.len() {
+            if self.guard.checkpoint() {
+                return;
             }
-            let events = self.events;
-            let occ = &self.occ;
-            let planning: &Planning = self.planning;
-            let user_scans = par_map_section(
-                self.threads,
-                "par.seed_users",
-                probe,
-                &users,
-                self.guard,
-                LocalCounters::new,
-                |lc, _, &u| scan_user(flat, planning, occ, events, u, lc),
-                |mut lc| lc.flush_into(probe),
-            );
-            for (i, scan) in user_scans.into_iter().enumerate() {
-                let Some(best) = scan else { continue };
-                self.commit_user(users[i], best);
+            self.refresh_event(pos);
+        }
+        for u in self.inst.user_ids() {
+            if self.guard.checkpoint() {
+                return;
             }
-        } else {
-            // the inline fallback ticks the same section span/counter as
-            // the fan-out path, so trace snapshots stay identical across
-            // thread counts
-            let probe = self.probe;
-            with_span(probe, "par.seed_events", || {
-                probe.count(Counter::ParSection, 1);
-                for pos in 0..self.events.len() {
-                    if self.guard.checkpoint() {
-                        break;
-                    }
-                    self.refresh_event(pos);
-                }
-            });
-            with_span(probe, "par.seed_users", || {
-                probe.count(Counter::ParSection, 1);
-                for &u in &users {
-                    if self.guard.checkpoint() {
-                        break;
-                    }
-                    self.refresh_user(u);
-                }
-            });
+            self.refresh_user(u);
         }
     }
 
@@ -1024,8 +909,8 @@ mod tests {
 
     #[test]
     fn an_unscanned_event_is_scanned_rather_than_read_as_empty() {
-        // a guard trip can skip an event's seed scan; its first refresh
-        // must find the full scan's best user, not an empty list
+        // an event's first refresh (its seed, unless a guard trip skipped
+        // it) must find the full scan's best user, not an empty list
         let inst = generate(&SyntheticConfig::tiny(), 5);
         let flat = inst.freeze();
         let events: Vec<EventId> = inst.event_ids().collect();

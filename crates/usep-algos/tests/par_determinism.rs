@@ -1,8 +1,9 @@
 //! The core contract of `usep-par`: thread count is invisible in every
 //! output. Solvers, local search and the relaxation bounds must produce
-//! **byte-identical** results at 1, 2 and 8 threads — on this suite's
-//! instances the parallel seeding / move-evaluation paths are genuinely
-//! exercised (sizes cross the `MIN_PAR_ITEMS` threshold), so a
+//! **byte-identical** results at 1, 2 and 8 threads, and a guard trip
+//! must truncate a solve at the same point at 1 and 4 threads. The
+//! solvers run on the calling thread; local search and the bound fan
+//! out over several workers on this suite's instances, so a
 //! scheduling-dependent reduction or commit order would fail here.
 //!
 //! The thread count is a process-global override, so every test holds
@@ -30,9 +31,8 @@ fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// An instance big enough that RatioGreedy's seed scans and the
-/// local-search rounds take their parallel paths. (RatioGreedy's
-/// per-pop refreshes are always sequential.)
+/// An instance big enough that the bound's per-user DPs and the
+/// local-search rounds spread over every worker.
 fn large_instance(seed: u64) -> Instance {
     generate(
         &SyntheticConfig::tiny().with_events(40).with_users(64).with_capacity_mean(4),
@@ -127,37 +127,43 @@ fn guarded_plannings_and_counter_snapshots_identical_1_vs_4_threads() {
     }
 }
 
-/// A guard trip landing inside a parallel section must still yield a
-/// constraint-valid planning: computed chunks form a usable prefix and
-/// uncomputed ones are simply absent, never half-applied.
+/// A guard trip cuts a solve at the same point whatever the thread
+/// count: at every trip point the planning and the outcome are
+/// identical at 1 and 4 threads. The truncated planning is a
+/// constraint-valid prefix: never half-applied, never better than the
+/// complete solve.
 #[test]
-fn chaos_trip_mid_parallel_section_yields_valid_prefix() {
+fn chaos_trip_yields_the_same_valid_prefix_at_1_and_4_threads() {
     let _g = THREADS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let inst = large_instance(41);
-    at_threads(4, || {
-        for algo in [Algorithm::RatioGreedy, Algorithm::DeDPORG, Algorithm::DeGreedyRG] {
-            let complete = solve(algo, &inst);
-            // step through trip points densely enough to land both
-            // inside and between the parallel sections
-            for k in (0u64..60).chain((60..400).step_by(17)) {
-                let budget =
-                    SolveBudget::unlimited().with_chaos_trip(k, TruncationReason::Deadline);
-                let guard = Guard::new(&budget);
-                let gs = solve_guarded(algo, &inst, &guard, &NOOP);
-                gs.planning.validate(&inst).unwrap_or_else(|e| {
-                    panic!("{algo} tripped at checkpoint {k}: infeasible planning: {e}")
-                });
-                if gs.outcome.is_complete() {
-                    assert_eq!(gs.planning, complete, "{algo} at {k}: complete but different");
-                } else {
-                    assert!(
-                        gs.planning.omega(&inst) <= complete.omega(&inst) + 1e-9,
-                        "{algo} at {k}: truncated Ω beats the complete solve"
-                    );
-                }
+    for algo in [Algorithm::RatioGreedy, Algorithm::DeDPORG, Algorithm::DeGreedyRG] {
+        let complete = solve(algo, &inst);
+        // step through trip points densely enough to land in every
+        // phase: the seed, the drain and the +RG pass
+        for k in (0u64..60).chain((60..400).step_by(17)) {
+            let run = |threads: usize| {
+                at_threads(threads, || {
+                    let budget =
+                        SolveBudget::unlimited().with_chaos_trip(k, TruncationReason::Deadline);
+                    solve_guarded(algo, &inst, &Guard::new(&budget), &NOOP)
+                })
+            };
+            let (gs, at_4) = (run(1), run(4));
+            assert_eq!(gs.planning, at_4.planning, "{algo} tripped at {k}: planning differs");
+            assert_eq!(gs.outcome, at_4.outcome, "{algo} tripped at {k}: outcome differs");
+            gs.planning.validate(&inst).unwrap_or_else(|e| {
+                panic!("{algo} tripped at checkpoint {k}: infeasible planning: {e}")
+            });
+            if gs.outcome.is_complete() {
+                assert_eq!(gs.planning, complete, "{algo} at {k}: complete but different");
+            } else {
+                assert!(
+                    gs.planning.omega(&inst) <= complete.omega(&inst) + 1e-9,
+                    "{algo} at {k}: truncated Ω beats the complete solve"
+                );
             }
         }
-    });
+    }
 }
 
 fn arb_instance() -> impl Strategy<Value = Instance> {

@@ -1,9 +1,9 @@
 //! Scaling of the `usep-par` fork-join sections with thread count.
 //!
-//! Times the three parallel solver hot paths — RatioGreedy (its seed
-//! scan), the capacity-relaxed bound's per-user DPs, and a
-//! local-search polish — at 1, 2 and 4 threads on one instance. The
-//! plannings are bit-identical at every count (see
+//! Times the two parallel sections — the capacity-relaxed bound's
+//! per-user DPs and a local-search polish — at 1, 2 and 4 threads on
+//! one instance. (The solvers run on the calling thread, so they have
+//! nothing to scale.) The results are bit-identical at every count (see
 //! `tests/par_determinism.rs`), so any time difference is pure
 //! scheduling.
 //!
@@ -35,17 +35,15 @@ fn bench_instance() -> Instance {
 /// keep the optimizer honest.
 type Section<'a> = (&'static str, Box<dyn Fn() -> f64 + 'a>);
 
-/// The three parallel sections, as named closures over one instance.
+/// The two parallel sections, as named closures over one instance.
 fn sections(inst: &Instance) -> Vec<Section<'_>> {
     let base = solve(Algorithm::DeGreedy, inst);
-    let ratio = move || solve(Algorithm::RatioGreedy, inst).omega(inst);
     let bound = move || bounds::capacity_relaxed_bound(inst);
     let polish = move || {
         let mut p = base.clone();
         local_search::improve(inst, &mut p, 3) as f64
     };
     vec![
-        ("ratio_greedy", Box::new(ratio)),
         ("capacity_relaxed_bound", Box::new(bound)),
         ("local_search", Box::new(polish)),
     ]

@@ -5,9 +5,10 @@
 //! live in-process server. The export pass then drives a burst of
 //! requests from several client threads, computes qps and client-side
 //! latency quantiles, cross-checks the counts against the server's own
-//! `/metrics` exposition, and writes the summary to `BENCH_serve.json`
-//! at the workspace root — path overridable via `BENCH_SERVE_JSON` —
-//! so CI can track the serving trajectory next to `BENCH_par.json`.
+//! `/metrics` exposition, and writes the summary, stamped with the
+//! host's hardware thread count, to `BENCH_serve.json` at the workspace
+//! root — path overridable via `BENCH_SERVE_JSON` — so CI can track the
+//! serving trajectory next to `BENCH_par.json`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -115,13 +116,16 @@ fn export_summary() {
         "metrics disagree with the client: accepted={accepted} sent={total}"
     );
 
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         concat!(
-            "{{\"bench\":\"serve_throughput\",\"requests\":{},\"client_threads\":{},",
+            "{{\"bench\":\"serve_throughput\",\"hardware_threads\":{},",
+            "\"requests\":{},\"client_threads\":{},",
             "\"workers\":2,\"elapsed_s\":{:.3},\"qps\":{:.1},",
             "\"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},",
             "\"metrics_accepted\":{}}}\n"
         ),
+        hardware_threads,
         total,
         CLIENT_THREADS,
         elapsed,

@@ -22,8 +22,9 @@ SUBCOMMANDS:
     solve     run a planning algorithm on an instance
               (--timeout-ms N / --mem-budget-mb N bound the solve; a
               truncated solve prints its outcome and exits with code 3;
-              --threads N spreads the parallel solver sections over N
-              worker threads — results are bit-identical at any count)
+              the solver runs on one thread; --threads N spreads the
+              --local-search polish over N worker threads — results
+              are bit-identical at any count)
     stats     print instance / planning statistics
     validate  check a planning against all four USEP constraints
     verify    run the independent verification oracle: every solver, the
@@ -103,8 +104,9 @@ SUBCOMMANDS:
 
 Common flags: --instance FILE, --plan FILE, --out FILE, --seed N,
 --algorithm ratiogreedy|dedp|dedpo|dedpo+rg|degreedy|degreedy+rg|baseline,
---local-search N (solve), --threads N (solve, bound; defaults to the
-USEP_THREADS environment variable, then the machine's core count).
+--local-search N (solve), --threads N (solve --local-search, bound;
+defaults to the USEP_THREADS environment variable, then the machine's
+core count).
 See the crate docs for the full flag list.
 
 Tracing (solve): --trace-out FILE writes a JSON-lines trace (span and
@@ -149,9 +151,10 @@ pub fn dispatch(argv: &[String]) -> Result<u8, String> {
 }
 
 /// Installs `--threads N` as the process-global worker count for the
-/// parallel solver sections. Absent, the resolution falls through to
-/// `USEP_THREADS` and then the machine's core count; plannings are
-/// bit-identical at every setting.
+/// parallel sections `solve --local-search` and `bound` run. Absent,
+/// the resolution falls through to `USEP_THREADS` and then the
+/// machine's core count; plannings and bounds are bit-identical at
+/// every setting.
 fn apply_threads_flag(flags: &Flags) -> Result<(), String> {
     if let Some(t) = flags.get("threads") {
         let n: usize = t.parse().map_err(|e| format!("bad --threads '{t}': {e}"))?;

@@ -140,9 +140,10 @@ fn mu_zero_then_restore_keeps_planning_valid_and_omega_monotone() {
 
 #[test]
 fn repair_path_is_deterministic_across_thread_counts() {
-    // The repair pass and the fallback solver both run on the
-    // deterministic fork-join pool; replaying the same trace under 1
-    // and 4 workers must produce byte-identical plannings.
+    // The repair pass and the fallback solver run on the calling
+    // thread, so the worker-count setting must not reach them:
+    // replaying the same trace at 1 and 4 threads must produce
+    // byte-identical plannings.
     let trace = generate_trace(&TraceGenConfig { seed: 7, mutations: 35, events: 8, users: 12 });
 
     let run = |threads: usize| {

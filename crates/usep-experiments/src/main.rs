@@ -105,9 +105,11 @@ USAGE:
                      [--scale quick|full] [--seed N] [--out DIR]
                      [--timeout-ms N]   # per-measurement deadline; truncated
                                         # runs are tagged, not discarded
-                     [--threads N]      # worker threads for the parallel
-                                        # panels (default: USEP_THREADS,
-                                        # then the machine's core count)
+                     [--threads N]      # workers for the untimed ext
+                                        # panels (quality, variance);
+                                        # every solve runs on one thread
+                                        # (default: USEP_THREADS, then
+                                        # the machine's core count)
     usep-experiments --list
     usep-experiments --figure replot [--out DIR]   # re-render SVGs from CSVs
 

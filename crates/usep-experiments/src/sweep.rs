@@ -186,7 +186,7 @@ fn run_quality_gap(
     // rows are collected by point index, keeping the table order and
     // values identical to a sequential run
     let indices: Vec<usize> = (0..points.len()).collect();
-    let rows = usep_par::par_map_complete(usep_par::current_threads(), &indices, |_, &pi| {
+    let rows = usep_par::par_map(usep_par::current_threads(), &indices, |_, &pi| {
         let p = &points[pi];
         let inst = (p.make)(seed.wrapping_add(pi as u64));
         let ub = bounds::best_upper_bound(&inst);
@@ -236,10 +236,10 @@ fn run_sweep(
     out: &Path,
     budget: Option<&SolveBudget>,
 ) -> io::Result<Vec<PathBuf>> {
-    // measurements stay sequential on the panel level: co-running
-    // solves would contaminate each other's wall-clock and the global
-    // counting allocator's peak; parallelism happens *inside* each
-    // solve instead, via the usep-par hot paths
+    // measurements stay sequential: co-running solves would contaminate
+    // each other's wall-clock and the global counting allocator's peak,
+    // and every solver runs on the calling thread, so a timed solve
+    // uses one thread whatever --threads says
     let columns: Vec<String> = algos.iter().map(|a| a.name().to_string()).collect();
     let mk = |metric: &str| {
         ResultTable::new(

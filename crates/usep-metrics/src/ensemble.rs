@@ -40,7 +40,7 @@ where
 {
     assert!(!seeds.is_empty(), "need at least one seed");
     assert!(threads > 0, "need at least one thread");
-    let omegas: Vec<f64> = usep_par::par_map_complete(threads, seeds, |_, &seed| {
+    let omegas: Vec<f64> = usep_par::par_map(threads, seeds, |_, &seed| {
         let inst = make(seed);
         let plan = usep_algos::solve(algorithm, &inst);
         plan.validate(&inst)

@@ -1,14 +1,11 @@
-//! Deterministic fork-join parallelism for the USEP solver hot paths.
+//! Deterministic fork-join parallelism for the USEP scans that pay for it.
 //!
-//! The paper's scalability figures (Figs. 2–4) measure running time as
-//! the headline axis, and the hot paths they exercise — RatioGreedy's
-//! `O(|U|·|V|)` heap seeding, the per-user DPs of the capacity-relaxed
-//! bound, local-search move evaluation, experiment fan-out — are all
-//! embarrassingly parallel *scans* whose results feed a sequential
-//! commit step. (RatioGreedy's per-pop refreshes are not among them:
-//! each re-probes only the few users whose schedules changed since the
-//! event's last refresh, far below what a fork-join section repays.)
-//! This crate supplies exactly that shape and nothing more:
+//! Every solver runs on the calling thread. What fans out are the
+//! embarrassingly parallel *scans* around the solvers whose results feed
+//! a sequential step: the per-user DPs of the capacity-relaxed bound,
+//! local-search move evaluation, and the independent cells and seeds of
+//! experiment panels and ensembles. This crate supplies exactly that
+//! shape and nothing more:
 //!
 //! * [`par_map`] / [`par_map_init`] — a scoped fork-join map over a
 //!   slice. Work is distributed as contiguous index chunks through a
@@ -18,24 +15,13 @@
 //!   sequential run of the same closure regardless of thread count or
 //!   scheduling. The closure must be a pure function of `(index, item)`
 //!   and its own worker state for that guarantee to mean anything;
-//!   every call site in this workspace reads shared solver state
-//!   immutably during the map and applies effects in index order
-//!   afterwards.
-//! * [`resolve_threads`] / [`set_threads`] — the thread-count
-//!   resolution chain: explicit per-call value, then the process-global
-//!   override (set once from `--threads`), then the `USEP_THREADS`
-//!   environment variable, then [`std::thread::available_parallelism`].
-//!
-//! # Guard integration
-//!
-//! Every worker polls [`Guard::checkpoint`] once per chunk, before
-//! computing it. [`Guard`] is `Sync` and its trip is sticky, so one
-//! tripped worker stops the whole pool within a chunk's worth of work.
-//! Items whose chunk was never computed come back as `None`; callers
-//! treat computed items as the usable prefix and keep the planning
-//! constraint-valid, exactly as the sequential truncation paths do.
-//! On a completed (untripped) run every slot is `Some` and the
-//! `Vec<Option<R>>` unwraps losslessly.
+//!   every call site in this workspace reads shared state immutably
+//!   during the map and applies effects in index order afterwards.
+//!   A map always runs to completion: no caller can use part of one.
+//! * [`current_threads`] / [`set_threads`] — the thread-count
+//!   resolution chain: the process-global override (set once from
+//!   `--threads`), then the `USEP_THREADS` environment variable, then
+//!   [`std::thread::available_parallelism`].
 //!
 //! # No external dependencies
 //!
@@ -52,37 +38,27 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use usep_guard::Guard;
 use usep_trace::{Counter, Probe};
 
 /// Process-global thread-count override; 0 means "not set".
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets (or with `0` clears) the process-global thread-count override.
-/// Sits between an explicit per-call count and `USEP_THREADS` in the
-/// resolution chain; the CLI's `--threads` flag lands here.
+/// Sets (or with `0` clears) the process-global thread-count override,
+/// which takes precedence over `USEP_THREADS`; the CLI's `--threads`
+/// flag lands here.
 pub fn set_threads(n: usize) {
     GLOBAL_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The current process-global override, if any.
-pub fn global_threads() -> Option<usize> {
-    match GLOBAL_THREADS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Resolves a thread count: `explicit` > [`set_threads`] override >
-/// `USEP_THREADS` env var > [`std::thread::available_parallelism`].
-/// Always at least 1; malformed or zero values fall through to the
-/// next link in the chain (with a one-time stderr warning for a set
-/// but unusable `USEP_THREADS`, so a typo'd environment doesn't
-/// silently change the parallelism).
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    explicit
+/// The thread count of every parallel section: the [`set_threads`]
+/// override > `USEP_THREADS` env var >
+/// [`std::thread::available_parallelism`]. Always at least 1; zero or
+/// malformed values fall through to the next link in the chain (with a
+/// one-time stderr warning for a set but unusable `USEP_THREADS`, so a
+/// typo'd environment doesn't silently change the parallelism).
+pub fn current_threads() -> usize {
+    Some(GLOBAL_THREADS.load(Ordering::Relaxed))
         .filter(|&n| n > 0)
-        .or_else(global_threads)
         .or_else(env_threads)
         .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1)
@@ -108,12 +84,6 @@ fn env_threads() -> Option<usize> {
     }
 }
 
-/// Shorthand for [`resolve_threads`]`(None)`: the thread count every
-/// hot path uses unless a caller passes one explicitly.
-pub fn current_threads() -> usize {
-    resolve_threads(None)
-}
-
 /// Chunk length for `n` items across `threads` workers: 4 chunks per
 /// worker for load balance (scan costs per item are uneven — users
 /// differ in candidate counts), never below 1.
@@ -124,13 +94,13 @@ fn chunk_len(n: usize, threads: usize) -> usize {
 /// Maps `f` over `items` on `threads` workers and returns the results
 /// in item order. See [`par_map_init`] for the full contract; this is
 /// the stateless form.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], guard: &Guard, f: F) -> Vec<Option<R>>
+pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_init(threads, items, guard, || (), |(), i, item| f(i, item), |()| ())
+    par_map_init(threads, items, || (), |(), i, item| f(i, item), |()| ())
 }
 
 /// Maps `f` over `items` on `threads` workers with per-worker state.
@@ -139,19 +109,11 @@ where
 /// workspace, a local counter block), threads it through every `f`
 /// call it executes, and hands it to `drain` when done — which is
 /// where per-worker trace counters merge into the session sink.
-/// `drain` also runs for workers that stopped on a guard trip, so no
-/// counts are lost on truncation.
 ///
-/// Results are placed by item index: `out[i]` is `Some(f(state, i,
-/// &items[i]))` when item `i`'s chunk was computed and `None` when a
-/// guard trip stopped the pool first. On a run where the guard never
-/// trips, every slot is `Some` and the output is bit-identical to
-/// `items.iter().enumerate().map(…)` with a single state.
-///
-/// `threads <= 1`, few items, or an inactive single chunk run inline
-/// on the caller's thread with the same chunked checkpoint cadence, so
-/// sequential and parallel runs see guard checkpoints at the same
-/// rate.
+/// `out[i]` is `f(state, i, &items[i])`, so the output is bit-identical
+/// to `items.iter().enumerate().map(…)` with a single state. With
+/// `threads <= 1` or a single item the map runs inline on the caller's
+/// thread.
 ///
 /// # Panics
 ///
@@ -164,11 +126,10 @@ where
 pub fn par_map_init<T, R, S, I, F, D>(
     threads: usize,
     items: &[T],
-    guard: &Guard,
     init: I,
     f: F,
     drain: D,
-) -> Vec<Option<R>>
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -181,24 +142,14 @@ where
         return Vec::new();
     }
     let threads = threads.max(1).min(n);
-    let chunk = chunk_len(n, threads);
-
     if threads == 1 {
         let mut state = init();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        for start in (0..n).step_by(chunk) {
-            if guard.checkpoint() {
-                break;
-            }
-            for (i, item) in items.iter().enumerate().skip(start).take(chunk) {
-                out.push(Some(f(&mut state, i, item)));
-            }
-        }
-        out.resize_with(n, || None);
+        let out = items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
         drain(state);
         return out;
     }
 
+    let chunk = chunk_len(n, threads);
     let (tx, rx) = crossbeam::channel::unbounded::<usize>();
     for start in (0..n).step_by(chunk) {
         let _ = tx.send(start);
@@ -214,8 +165,6 @@ where
     // first panic a sequential run of the same closure would hit (at
     // chunk granularity) — deterministic at every thread count.
     let poisoned = AtomicBool::new(false);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(n, || None);
     let worker_results = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -224,31 +173,33 @@ where
                 let poisoned = &poisoned;
                 s.spawn(move |_| {
                     let mut state = Some(init());
-                    let mut local: Vec<(usize, R)> = Vec::new();
+                    let mut done: Vec<(usize, Vec<R>)> = Vec::new();
                     let mut panicked: Option<(usize, Box<dyn Any + Send>)> = None;
                     while let Ok(start) = rx.recv() {
-                        if poisoned.load(Ordering::Relaxed) || guard.checkpoint() {
+                        if poisoned.load(Ordering::Relaxed) {
                             break;
                         }
                         let st = state.as_mut().expect("state lives until a panic");
+                        let end = (start + chunk).min(n);
                         let attempt = catch_unwind(AssertUnwindSafe(|| {
-                            for (i, item) in items.iter().enumerate().skip(start).take(chunk) {
-                                local.push((i, f(st, i, item)));
-                            }
+                            (start..end).map(|i| f(st, i, &items[i])).collect::<Vec<R>>()
                         }));
-                        if let Err(payload) = attempt {
-                            poisoned.store(true, Ordering::Relaxed);
-                            panicked = Some((start, payload));
-                            // the panic may have left the worker state
-                            // mid-update; drop it without draining
-                            state = None;
-                            break;
+                        match attempt {
+                            Ok(rs) => done.push((start, rs)),
+                            Err(payload) => {
+                                poisoned.store(true, Ordering::Relaxed);
+                                panicked = Some((start, payload));
+                                // the panic may have left the worker state
+                                // mid-update; drop it without draining
+                                state = None;
+                                break;
+                            }
                         }
                     }
                     if let Some(st) = state {
                         drain(st);
                     }
-                    (local, panicked)
+                    (done, panicked)
                 })
             })
             .collect();
@@ -260,20 +211,21 @@ where
     .expect("scope itself cannot fail");
 
     let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
-    for (local, panicked) in worker_results {
+    let mut chunks: Vec<(usize, Vec<R>)> = Vec::with_capacity(n.div_ceil(chunk));
+    for (done, panicked) in worker_results {
         if let Some((start, payload)) = panicked {
             if first_panic.as_ref().is_none_or(|&(s, _)| start < s) {
                 first_panic = Some((start, payload));
             }
         }
-        for (i, r) in local {
-            out[i] = Some(r);
-        }
+        chunks.extend(done);
     }
     if let Some((_, payload)) = first_panic {
         resume_unwind(payload);
     }
-    out
+    // with no panic every chunk ran, so the sorted chunks tile 0..n
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    chunks.into_iter().flat_map(|(_, rs)| rs).collect()
 }
 
 /// [`par_map_init`] wrapped in an observable section: the whole
@@ -282,22 +234,20 @@ where
 /// busy time into the `par.worker_ms` histogram when it drains.
 ///
 /// Request-scoped observability falls out of the probe argument: when
-/// the serve layer passes a `RequestProbe`, the section's span events
-/// carry that request's id, so a slow parallel scan is attributable to
-/// the request that ran it. Determinism is preserved — the span and
+/// the caller passes a `RequestProbe`, the section's span events carry
+/// that request's id, so a slow parallel scan is attributable to the
+/// request that ran it. Determinism is preserved — the span and
 /// section counter are caller-side (thread-count-independent), and the
 /// per-worker histogram feeds summaries only, never counter snapshots.
-#[allow(clippy::too_many_arguments)]
 pub fn par_map_section<T, R, S, I, F, D>(
     threads: usize,
     section: &'static str,
     probe: &dyn Probe,
     items: &[T],
-    guard: &Guard,
     init: I,
     f: F,
     drain: D,
-) -> Vec<Option<R>>
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -314,7 +264,6 @@ where
     let out = par_map_init(
         threads,
         items,
-        guard,
         || Timed { inner: init(), started: std::time::Instant::now() },
         |t, i, item| f(&mut t.inner, i, item),
         |t| {
@@ -328,26 +277,10 @@ where
     out
 }
 
-/// [`par_map`] that panics on guard-trip holes: for call sites with an
-/// inactive (or absent) guard where truncation is impossible, this
-/// unwraps the `Option` layer.
-pub fn par_map_complete<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(threads, items, Guard::none(), f)
-        .into_iter()
-        .map(|r| r.expect("no guard was active, so no item can be missing"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;
-    use usep_guard::{SolveBudget, TruncationReason};
 
     /// Serializes tests that touch process-global state (the override
     /// atomic and the environment).
@@ -358,17 +291,17 @@ mod tests {
         let _g = GLOBAL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         std::env::set_var("USEP_THREADS", "3");
         set_threads(0);
-        assert_eq!(resolve_threads(Some(7)), 7);
-        assert_eq!(resolve_threads(None), 3);
+        assert_eq!(current_threads(), 3);
         set_threads(5);
-        assert_eq!(resolve_threads(None), 5);
-        assert_eq!(resolve_threads(Some(2)), 2);
+        assert_eq!(current_threads(), 5, "the override beats the environment");
         set_threads(0);
         std::env::set_var("USEP_THREADS", "zebra");
-        let fallback = resolve_threads(None);
-        assert!(fallback >= 1, "malformed env falls through to hardware");
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(current_threads(), hardware, "malformed env falls through to hardware");
+        std::env::set_var("USEP_THREADS", "0");
+        assert_eq!(current_threads(), hardware, "zero falls through to hardware");
         std::env::remove_var("USEP_THREADS");
-        assert!(resolve_threads(None) >= 1);
+        assert_eq!(current_threads(), hardware);
     }
 
     #[test]
@@ -376,50 +309,17 @@ mod tests {
         let items: Vec<u64> = (0..997).collect();
         let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| x * 3 + i as u64).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got: Vec<u64> = par_map(threads, &items, Guard::none(), |i, x| x * 3 + i as u64)
-                .into_iter()
-                .map(Option::unwrap)
-                .collect();
+            let got: Vec<u64> = par_map(threads, &items, |i, x| x * 3 + i as u64);
             assert_eq!(got, expect, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_and_oversized_thread_counts_are_safe() {
-        let out = par_map(8, &[] as &[u32], Guard::none(), |_, x| *x);
+        let out = par_map(8, &[] as &[u32], |_, x| *x);
         assert!(out.is_empty());
-        let out = par_map_complete(100, &[1u32, 2], |_, x| x + 1);
+        let out = par_map(100, &[1u32, 2], |_, x| x + 1);
         assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
-    fn tripped_guard_computes_nothing() {
-        let budget = SolveBudget::unlimited().with_chaos_trip(0, TruncationReason::Cancelled);
-        let guard = Guard::new(&budget);
-        let items: Vec<u32> = (0..100).collect();
-        for threads in [1, 4] {
-            let out = par_map(threads, &items, &guard, |_, x| *x);
-            assert!(out.iter().all(Option::is_none), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn mid_run_trip_leaves_holes_but_keeps_computed_results_correct() {
-        let items: Vec<u32> = (0..1000).collect();
-        for threads in [1, 4] {
-            let budget =
-                SolveBudget::unlimited().with_chaos_trip(2, TruncationReason::Deadline);
-            let guard = Guard::new(&budget);
-            let out = par_map(threads, &items, &guard, |_, x| x * 2);
-            assert!(guard.is_tripped());
-            let computed = out.iter().flatten().count();
-            assert!(computed < items.len(), "threads={threads}: trip must truncate");
-            for (i, r) in out.iter().enumerate() {
-                if let Some(v) = r {
-                    assert_eq!(*v, items[i] * 2);
-                }
-            }
-        }
     }
 
     #[test]
@@ -431,7 +331,6 @@ mod tests {
         let out = par_map_init(
             4,
             &items,
-            Guard::none(),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0u64
@@ -444,7 +343,7 @@ mod tests {
                 drained_total.fetch_add(acc, Ordering::Relaxed);
             },
         );
-        assert_eq!(out.iter().flatten().copied().collect::<Vec<_>>(), items);
+        assert_eq!(out, items);
         assert_eq!(inits.load(Ordering::Relaxed), 4, "one state per worker");
         assert_eq!(drained_total.load(Ordering::Relaxed), items.iter().sum::<u64>());
     }
@@ -454,7 +353,7 @@ mod tests {
         let items: Vec<u32> = (0..500).collect();
         for threads in [1, 2, 4, 16] {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                par_map(threads, &items, Guard::none(), |_, x| {
+                par_map(threads, &items, |_, x| {
                     if *x == 97 {
                         panic!("boom at {x}");
                     }
@@ -475,7 +374,7 @@ mod tests {
         for threads in [1, 3, 8] {
             for _ in 0..5 {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    par_map(threads, &items, Guard::none(), |_, x| {
+                    par_map(threads, &items, |_, x| {
                         if *x >= 100 {
                             panic!("panic item {x}");
                         }
@@ -499,7 +398,6 @@ mod tests {
             par_map_init(
                 4,
                 &items,
-                Guard::none(),
                 || {
                     inits.fetch_add(1, Ordering::Relaxed);
                 },
@@ -532,7 +430,6 @@ mod tests {
                 "par.scan",
                 &scoped,
                 &items,
-                Guard::none(),
                 || 0u64,
                 |acc, _, x| {
                     *acc += 1;
@@ -540,7 +437,7 @@ mod tests {
                 },
                 |_| {},
             );
-            assert_eq!(out.iter().flatten().count(), items.len(), "threads={threads}");
+            assert_eq!(out.len(), items.len(), "threads={threads}");
         }
         assert_eq!(sink.counter(Counter::ParSection), 2, "one tick per section, not per worker");
         let span = sink.span_totals().iter().find(|t| t.name == "par.scan").cloned().unwrap();

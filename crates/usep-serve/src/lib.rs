@@ -4,8 +4,8 @@
 //! a malformed request or a `kill -9` loses all work. This crate turns
 //! those solvers into a *service* with the robustness substrate a
 //! planning platform needs, built from the layers underneath it —
-//! `usep-guard` budgets bound each solve, `usep-par` contains worker
-//! panics, `usep-trace` counts what the server does:
+//! `usep-guard` budgets bound each solve, `usep-trace` counts what the
+//! server does:
 //!
 //! * **Protocol** ([`protocol`]) — one JSON object per line over plain
 //!   TCP (`std::net`, matching the repo's vendored-deps policy). A
@@ -17,10 +17,9 @@
 //!   plus a non-sticky byte ledger ([`usep_guard::MemoryLedger`]).
 //!   Requests whose estimated footprint or queue slot does not fit are
 //!   shed with `Overloaded` instead of degrading everyone.
-//! * **Fault isolation** ([`server`]) — each solve runs behind a
-//!   `catch_unwind` fence; `usep-par` propagates worker-pool panics to
-//!   the fence deterministically, so a panicking request answers
-//!   `Failed{panic}` and the server keeps serving.
+//! * **Fault isolation** ([`server`]) — each solve runs on its worker
+//!   thread behind a `catch_unwind` fence, so a panicking request
+//!   answers `Failed{panic}` and the server keeps serving.
 //! * **Retry with backoff** ([`backoff`]) — a `truncated:memory_ceiling`
 //!   attempt is retried one tier *down* the existing
 //!   DeDP → DeDPO → RatioGreedy degradation chain after a capped

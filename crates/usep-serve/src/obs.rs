@@ -263,11 +263,6 @@ impl ServeMetrics {
                 "serve.queue_depth",
             ),
             (
-                "usep_par_worker_ms",
-                "Per-worker busy time inside fork-join sections, milliseconds.",
-                "par.worker_ms",
-            ),
-            (
                 "usep_delta_touched_entities",
                 "Entities touched per delta-session mutation (bounded-repair work).",
                 usep_delta::TOUCHED_HISTOGRAM,

@@ -1138,10 +1138,10 @@ pub fn solve_with_retry_observed(
             std::thread::sleep(Duration::from_millis(limits.chaos_delay_ms));
         }
 
-        // The fence: a panic anywhere in the solver stack (including
-        // usep-par workers, which forward their payload here) becomes
-        // a typed response instead of a dead server. Every span the
-        // tier opens carries the request id and this attempt number.
+        // The fence: a panic anywhere in the solver stack, which runs
+        // on this worker thread, becomes a typed response instead of a
+        // dead server. Every span the tier opens carries the request id
+        // and this attempt number.
         let scoped = RequestProbe::new(probe, ctx.with_attempt(k as u32));
         let tier_started = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {

@@ -282,7 +282,8 @@ pub trait Probe: Sync {
 }
 
 /// Request-scoped tracing context, propagated from serve admission
-/// through the degradation chain into parallel sections.
+/// through the degradation chain into every span and counter the solve
+/// emits.
 ///
 /// The context is deliberately tiny and cheap to clone: the id is a
 /// shared `Arc<str>`, the deadline an absolute instant (so nested
@@ -376,15 +377,16 @@ pub struct NoopProbe;
 
 impl Probe for NoopProbe {}
 
-/// Per-worker counter accumulation for parallel sections.
+/// Batched counter accumulation for hot scans.
 ///
-/// [`TraceSink`]'s counters are atomics, so workers *could* increment
-/// them directly — but a hot scan incrementing a shared cache line from
-/// eight cores serializes on it. A parallel section instead gives each
-/// worker a `LocalCounters`, accumulates into plain integers, and
-/// flushes once into the shared probe when the worker finishes (or
-/// stops on a guard trip), so the shared atomics see one contended
-/// write per worker per section instead of one per element.
+/// A scan counts into plain integers and flushes once into the probe
+/// when it finishes: RatioGreedy's refresh scans count their rejects
+/// this way, one integer add each instead of a dynamic [`Probe::count`]
+/// call. A parallel section can give each worker its own and flush it
+/// when the worker drains. [`TraceSink`]'s counters are atomics, and a
+/// hot scan incrementing a shared cache line from eight cores
+/// serializes on it; flushing per worker leaves the shared atomics one
+/// contended write per worker per section instead of one per element.
 #[derive(Clone, Debug)]
 pub struct LocalCounters {
     deltas: [u64; Counter::ALL.len()],
