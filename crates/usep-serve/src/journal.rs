@@ -9,7 +9,10 @@
 //!   each compaction; the shard id guards against cross-shard resume.
 //! * `Accepted{request}` — written (and fsynced) *before* the request
 //!   enters the queue. If the process dies mid-solve, the restarted
-//!   server re-enqueues it.
+//!   server re-enqueues it. The server journals the request line as it
+//!   was received ([`Journal::append_accepted`]), so replay decodes the
+//!   very bytes the live server decoded; a line in the server's own
+//!   encoding frames byte-identically to appending the decoded record.
 //! * `Completed{response}` — written (and fsynced) when the solve
 //!   finishes, whatever the outcome. A completed id is never re-solved:
 //!   a duplicate submission is answered from this record.
@@ -27,7 +30,9 @@
 //! length of the serialized record and the CRC32 (IEEE) covers those
 //! exact bytes. The frame is parsed positionally — never re-serialized
 //! — so the checksum verifies the bytes that were actually written.
-//! Bare (unframed) record lines are accepted as the legacy format.
+//! The CRC values are the standard ones; [`crc32`] computes them
+//! slice-by-8. Bare (unframed) record lines are accepted as the legacy
+//! format.
 //!
 //! **Quarantine.** [`JournalState::replay`] is a pure function of the
 //! journal bytes. A torn *final* line (crash mid-append) sets
@@ -44,10 +49,10 @@
 //! growing without bound across `--resume` cycles. Quarantined lines
 //! are dropped — they were already unrecoverable.
 
-use crate::io::{crc32, JournalIo, StdIo};
+use crate::io::{crc32, crc32_extend, JournalIo, StdIo};
 use crate::protocol::{SolveRequest, SolveResponse};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -122,15 +127,32 @@ pub enum JournalRecord {
 /// legacy bare-record line.
 const FRAME_PREFIX: &str = "{\"len\":";
 
-/// Wraps one serialized record in the length+CRC frame (newline
-/// included — one frame is one line).
-fn frame_line(rec_json: &str) -> String {
-    format!(
-        "{{\"len\":{},\"crc\":\"{:08x}\",\"rec\":{}}}\n",
-        rec_json.len(),
-        crc32(rec_json.as_bytes()),
-        rec_json
-    )
+/// What `JournalRecord::Accepted { request }` serializes to around the
+/// request's own JSON.
+const ACCEPTED_OPEN: &[u8] = b"{\"Accepted\":{\"request\":";
+const ACCEPTED_CLOSE: &[u8] = b"}}";
+
+/// Wraps one serialized record, given as byte pieces in order, in the
+/// length+CRC frame (newline included — one frame is one line). The
+/// pieces are checksummed where they lie and copied once, into a buffer
+/// of the frame's exact size.
+fn frame_line(rec: &[&[u8]]) -> Vec<u8> {
+    let len: usize = rec.iter().map(|piece| piece.len()).sum();
+    let crc = rec.iter().fold(0, |crc, piece| crc32_extend(crc, piece));
+    let head = format!("{FRAME_PREFIX}{len},\"crc\":\"{crc:08x}\",\"rec\":");
+    let mut line = Vec::with_capacity(head.len() + len + 2);
+    line.extend_from_slice(head.as_bytes());
+    for piece in rec {
+        line.extend_from_slice(piece);
+    }
+    line.extend_from_slice(b"}\n");
+    line
+}
+
+/// One record's JSON.
+fn encode(record: &JournalRecord) -> io::Result<String> {
+    serde_json::to_string(record)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Strict positional frame parser. Returns `None` for *any* deviation —
@@ -202,9 +224,24 @@ impl Journal {
 
     /// Appends one framed record and fsyncs.
     pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
-        let rec = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.io.append(frame_line(&rec).as_bytes())?;
+        self.append_frame(&frame_line(&[encode(record)?.as_bytes()]))
+    }
+
+    /// Appends the `Accepted` record of a request line exactly as it
+    /// was received, trimmed of its line ending, and fsyncs. The caller
+    /// must have decoded `received_line` to the [`SolveRequest`] it
+    /// admits; replay decodes the same bytes to the same request. A
+    /// line in the server's own encoding (what [`crate::send_request`]
+    /// sends) frames byte-identically to
+    /// `append(&JournalRecord::Accepted { request })`.
+    pub fn append_accepted(&self, received_line: &str) -> io::Result<()> {
+        let line = received_line.strip_suffix('\n').unwrap_or(received_line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
+        self.append_frame(&frame_line(&[ACCEPTED_OPEN, line.as_bytes(), ACCEPTED_CLOSE]))
+    }
+
+    fn append_frame(&self, frame: &[u8]) -> io::Result<()> {
+        self.io.append(frame)?;
         self.io.sync()
     }
 
@@ -216,11 +253,9 @@ impl Journal {
     /// compaction (they were unrecoverable), and the torn tail, if any,
     /// is healed.
     pub fn compact(&self, state: &JournalState) -> io::Result<()> {
-        let mut buf = String::new();
+        let mut buf = Vec::new();
         let mut push = |record: &JournalRecord| -> io::Result<()> {
-            let rec = serde_json::to_string(record)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            buf.push_str(&frame_line(&rec));
+            buf.extend_from_slice(&frame_line(&[encode(record)?.as_bytes()]));
             Ok(())
         };
         push(&JournalRecord::Header {
@@ -247,7 +282,7 @@ impl Journal {
                 })?;
             }
         }
-        self.io.replace(buf.as_bytes())
+        self.io.replace(&buf)
     }
 
     /// Current journal size in bytes (what compaction shrinks).
@@ -306,7 +341,10 @@ impl JournalState {
     /// produce it) corrupts only the lines it lands on.
     pub fn replay_bytes(bytes: &[u8]) -> JournalState {
         let mut state = JournalState::default();
-        let mut accepted: BTreeMap<String, ()> = BTreeMap::new();
+        let mut accepted: HashSet<String> = HashSet::new();
+        // the mutation ids each open session has kept, so deduplication
+        // costs a lookup per record, not a scan of the session's stream
+        let mut kept: HashMap<String, HashSet<String>> = HashMap::new();
         let text = String::from_utf8_lossy(bytes);
         let lines: Vec<&str> = text.split('\n').collect();
         // a trailing newline yields one empty final fragment; real
@@ -351,8 +389,7 @@ impl JournalState {
                     }
                 }
                 JournalRecord::Accepted { request } => {
-                    if !accepted.contains_key(&request.id) {
-                        accepted.insert(request.id.clone(), ());
+                    if accepted.insert(request.id.clone()) {
                         state.pending.push(request);
                     }
                 }
@@ -373,13 +410,15 @@ impl JournalState {
                     // opened (or already closed) has no state to act
                     // on; dropping it is the only consistent replay
                     if let Some(s) = state.delta_sessions.get_mut(&session) {
-                        if !s.mutations.iter().any(|(id, _)| *id == mutation_id) {
+                        if kept.entry(session).or_default().insert(mutation_id.clone()) {
                             s.mutations.push((mutation_id, mutation));
                         }
                     }
                 }
                 JournalRecord::DeltaClose { session } => {
+                    // a session re-opened under this name starts clean
                     state.delta_sessions.remove(&session);
+                    kept.remove(&session);
                 }
             }
         }
@@ -546,6 +585,93 @@ mod tests {
         assert_eq!(state.quarantined, 1);
         assert_eq!(state.pending.len(), 1, "only the rotted record is lost");
         assert_eq!(state.pending[0].id, "b");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A request line in the server's own encoding, as `send_request`
+    /// writes it: the received-bytes record must equal, byte for byte,
+    /// the record of the request decoded from that line.
+    #[test]
+    fn a_canonical_request_line_frames_like_its_decoded_record() {
+        let dir = tempdir("canonical");
+        let request = SolveRequest {
+            id: "auckland-7".to_string(),
+            instance: Arc::new(usep_gen::generate_city(&usep_gen::CityConfig::auckland(), 7)),
+            algorithm: Some("dedpo".to_string()),
+            timeout_ms: Some(5000),
+            mem_budget_mb: None,
+            city: Some("auckland".to_string()),
+        };
+        let line = format!("{}\n", serde_json::to_string(&request).unwrap());
+        let decoded: SolveRequest = serde_json::from_str(line.trim_end()).unwrap();
+        let (re_encoded, received) = (dir.join("re-encoded.jsonl"), dir.join("received.jsonl"));
+        Journal::open(&re_encoded)
+            .unwrap()
+            .append(&JournalRecord::Accepted { request: decoded })
+            .unwrap();
+        Journal::open(&received).unwrap().append_accepted(&line).unwrap();
+        let bytes = std::fs::read(&received).unwrap();
+        assert!(bytes.len() > 100_000, "an Auckland request is hundreds of KB");
+        assert!(bytes == std::fs::read(&re_encoded).unwrap(), "frames differ");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A request line whose bytes a re-encode would change: reordered
+    /// keys, spaces, an unknown field, escapes and a CRLF ending.
+    fn non_canonical_line(id_json: &str) -> String {
+        let instance = serde_json::to_string(&*request("x").instance).unwrap();
+        format!(
+            "{{ \"timeout_ms\" : 250, \"priority\": 3 ,\"instance\":  {instance} , \
+             \"id\" : {id_json} }}\r\n"
+        )
+    }
+
+    #[test]
+    fn a_non_canonical_request_line_replays_to_the_request_it_decodes_to() {
+        let dir = tempdir("received");
+        let path = dir.join("wal.jsonl");
+        let line = non_canonical_line(r#""r\"\u00e9-1""#);
+        // what the server decodes the line to
+        let decoded: SolveRequest = serde_json::from_str(&line).unwrap();
+        assert_eq!(decoded.id, "r\"\u{e9}-1");
+        let journal = Journal::open(&path).unwrap();
+        journal.append_accepted(&line).unwrap();
+
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let received = line.trim_end();
+        assert!(raw.contains(received), "the record holds the line as received");
+        assert!(!raw.contains('\r'), "the line ending is not journaled");
+        let state = JournalState::replay(&path).unwrap();
+        assert_eq!((state.quarantined, state.torn_tail), (0, false));
+        assert_eq!(state.pending.len(), 1);
+        assert_eq!(
+            serde_json::to_string(&state.pending[0]).unwrap(),
+            serde_json::to_string(&decoded).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_bit_in_received_bytes_is_quarantined() {
+        let dir = tempdir("received_rot");
+        let path = dir.join("wal.jsonl");
+        let journal = Journal::open(&path).unwrap();
+        journal.append_accepted(&non_canonical_line(r#""a""#)).unwrap();
+        journal.append_accepted(&non_canonical_line(r#""b""#)).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        let first = non_canonical_line(r#""a""#);
+        let first = first.trim_end().as_bytes();
+        let start = raw.windows(first.len()).position(|w| w == first).expect("received bytes");
+        // many of these flips leave valid JSON (`3` -> `2`, `priority`
+        // -> `qriority`): only the CRC can catch those
+        for pos in start..start + first.len() {
+            let mut rotted = raw.clone();
+            rotted[pos] ^= 0x01;
+            let state = JournalState::replay_bytes(&rotted);
+            assert_eq!(state.quarantined, 1, "flip at byte {pos} undetected");
+            assert_eq!(state.pending.len(), 1, "only the rotted record is lost");
+            assert_eq!(state.pending[0].id, "b");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -738,9 +864,26 @@ mod tests {
         // a mutation for a closed (or never-opened) session is inert
         journal.append(&mutate("dead", "d2", 7)).unwrap();
         journal.append(&mutate("ghost", "g1", 1)).unwrap();
+        // closed then re-opened under the same name: the new session
+        // starts clean, so a mutation id the old one used is new again
+        journal.append(&open("again")).unwrap();
+        journal.append(&mutate("again", "a1", 4)).unwrap();
+        journal.append(&JournalRecord::DeltaClose { session: "again".to_string() }).unwrap();
+        journal.append(&open("again")).unwrap();
+        journal.append(&mutate("again", "a1", 6)).unwrap();
+        journal.append(&mutate("again", "a1", 8)).unwrap();
 
         let state = JournalState::replay(&path).unwrap();
-        assert_eq!(state.delta_sessions.len(), 1);
+        assert_eq!(state.delta_sessions.len(), 2);
+        assert!(!state.delta_sessions.contains_key("dead"));
+        let again = &state.delta_sessions["again"].mutations;
+        assert!(
+            matches!(
+                again[..],
+                [(ref id, Mutation::CapacityChange { capacity: 6, .. })] if id == "a1"
+            ),
+            "the re-opened session keeps only its own first a1: {again:?}"
+        );
         let live = &state.delta_sessions["live"];
         assert_eq!(live.fallback_threshold, 0.3);
         assert_eq!(
@@ -759,7 +902,7 @@ mod tests {
         journal.compact(&state).unwrap();
         let after = JournalState::replay(&path).unwrap();
         assert_eq!(after.generation, state.generation + 1);
-        assert_eq!(after.delta_sessions.len(), 1);
+        assert_eq!(after.delta_sessions.len(), 2);
         assert_eq!(after.delta_sessions["live"].mutations.len(), 2);
         assert_eq!(after.delta_sessions["live"].instance, instance);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -114,9 +114,10 @@ pub struct PhaseTimings {
     pub backoff_ms: f64,
 }
 
-/// A control-plane request multiplexed on the solve socket: any line
-/// with a `verb` field is interpreted as a control verb instead of a
-/// [`SolveRequest`] (solve requests never carry `verb`).
+/// A control-plane request multiplexed on the solve socket: a line
+/// that is a JSON object whose first `verb` key holds a string is a
+/// control verb instead of a [`SolveRequest`] (solve requests never
+/// carry `verb`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ControlRequest {
     /// `"dump"` dumps the flight recorder as one JSON line.

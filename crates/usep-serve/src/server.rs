@@ -3,9 +3,10 @@
 //! Thread layout:
 //!
 //! * one **accept** thread owning the `TcpListener`;
-//! * one **connection** thread per client connection, which parses,
-//!   validates, admits and journals requests, then blocks on the
-//!   reply channel and writes the response line;
+//! * one **connection** thread per client connection, which parses
+//!   each line once, validates, admits and journals requests (the
+//!   line's own bytes), then blocks on the reply channel and writes the
+//!   response line;
 //! * `workers` **solver** threads draining one shared job queue. Each
 //!   job runs behind a `catch_unwind` fence with the serve-level
 //!   retry/degradation loop inside it.
@@ -25,6 +26,7 @@ use crate::protocol::{
     estimate_instance_bytes, ControlRequest, MutateRequest, MutateResponse, PhaseTimings,
     SolveRequest, SolveResponse, Status,
 };
+use serde::{Content, Deserialize};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -494,16 +496,53 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener, job_tx: crossbeam::ch
 fn write_response(stream: &mut TcpStream, response: &SolveResponse) -> std::io::Result<()> {
     let line = serde_json::to_string(response)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    write_line(stream, &line)
+}
+
+fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     writeln!(stream, "{line}")?;
     stream.flush()
 }
 
-/// Parses and pre-validates one request line. `Err` is the typed
-/// rejection to send back.
-fn screen_request(line: &str) -> Result<SolveRequest, Box<SolveResponse>> {
-    let request: SolveRequest = serde_json::from_str(line).map_err(|e| {
-        Box::new(SolveResponse::bare("", Status::Rejected { error: format!("parse: {e}") }))
-    })?;
+/// One request line, parsed once and sorted by what it asks for. `Err`
+/// holds the parse rejection's text.
+enum Line {
+    /// A `mutate` control line: one delta-session operation.
+    Mutate(Result<MutateRequest, String>),
+    /// Any other control line.
+    Control(ControlRequest),
+    /// Everything that is not a control line.
+    Solve(Result<SolveRequest, String>),
+}
+
+/// Parses `line` into one JSON tree and decodes the request from that
+/// tree. A control line is a JSON object whose first `verb` key holds a
+/// string — exactly the lines [`ControlRequest`] decodes; solve requests
+/// never carry one.
+fn parse_line(line: &str) -> Line {
+    let tree = match serde_json::from_str::<Content>(line) {
+        Ok(tree) => tree,
+        Err(e) => return Line::Solve(Err(format!("parse: {e}"))),
+    };
+    let verb = match &tree {
+        Content::Map(entries) => match entries.iter().find(|(key, _)| key == "verb") {
+            Some((_, Content::Str(verb))) => Some(verb.clone()),
+            _ => None,
+        },
+        _ => None,
+    };
+    match verb {
+        Some(verb) if verb == "mutate" => {
+            Line::Mutate(MutateRequest::from_content(tree).map_err(|e| format!("parse: {e}")))
+        }
+        Some(verb) => Line::Control(ControlRequest { verb }),
+        None => Line::Solve(SolveRequest::from_content(tree).map_err(|e| format!("parse: {e}"))),
+    }
+}
+
+/// Pre-validates one decoded request. `Err` is the typed rejection to
+/// send back.
+fn screen_request(request: SolveRequest) -> Result<SolveRequest, Box<SolveResponse>> {
     if request.id.is_empty() {
         return Err(Box::new(SolveResponse::bare(
             "",
@@ -577,35 +616,44 @@ fn handle_connection(
         let admission_started = Instant::now();
         let obs = &inner.obs;
 
-        // Control plane: any line carrying a `verb` is a control
-        // request, not a solve (solve requests never have the field).
-        if let Ok(ctl) = serde_json::from_str::<ControlRequest>(&line) {
-            let reply = match ctl.verb.as_str() {
-                "dump" => {
+        // Control plane: verb lines are answered here, never queued.
+        let parsed = match parse_line(&line) {
+            Line::Solve(parsed) => parsed,
+            Line::Mutate(req) => {
+                let response = match req {
+                    Ok(req) => handle_mutate(inner, req),
+                    Err(error) => MutateResponse::rejected("", error),
+                };
+                if write_line(&mut stream, &serde_json::to_string(&response).unwrap_or_default())
+                    .is_err()
+                {
+                    break;
+                }
+                continue;
+            }
+            Line::Control(ControlRequest { verb }) => {
+                let reply = if verb == "dump" {
                     obs.recorder.record("dump", None, "flight recorder dumped on request");
                     obs.recorder.dump_json()
+                } else {
+                    serde_json::to_string(&SolveResponse::bare(
+                        "",
+                        Status::Rejected { error: format!("unknown verb '{verb}'") },
+                    ))
+                    .unwrap_or_default()
+                };
+                if write_line(&mut stream, &reply).is_err() {
+                    break;
                 }
-                "mutate" => {
-                    let response = match serde_json::from_str::<MutateRequest>(&line) {
-                        Ok(req) => handle_mutate(inner, req),
-                        Err(e) => MutateResponse::rejected("", format!("parse: {e}")),
-                    };
-                    serde_json::to_string(&response).unwrap_or_default()
-                }
-                other => serde_json::to_string(&SolveResponse::bare(
-                    "",
-                    Status::Rejected { error: format!("unknown verb '{other}'") },
-                ))
-                .unwrap_or_default(),
-            };
-            if writeln!(stream, "{reply}").and_then(|()| stream.flush()).is_err() {
-                break;
+                continue;
             }
-            continue;
-        }
+        };
 
         obs.requests.fetch_add(1, Ordering::Relaxed);
-        let request = match screen_request(&line) {
+        let screened = parsed
+            .map_err(|error| Box::new(SolveResponse::bare("", Status::Rejected { error })))
+            .and_then(screen_request);
+        let request = match screened {
             Ok(r) => r,
             Err(rejection) => {
                 obs.rejected.fetch_add(1, Ordering::Relaxed);
@@ -670,13 +718,15 @@ fn handle_connection(
 
         // Write-ahead: the accept record is durable before the solve
         // can begin; a crash after this point re-enqueues on resume.
+        // It holds the line as received, which decoded to `request`, so
+        // replay decodes the same request without this thread encoding
+        // it again.
         // A failed append (ENOSPC, dead disk) sheds THIS request with a
         // typed Failed response — the connection stays up and the next
         // request gets its own chance, because a full disk is the
         // request's problem, not the TCP session's.
-        if let Err(e) =
-            inner.journal_append(&JournalRecord::Accepted { request: request.clone() })
-        {
+        let accepted = inner.journal.as_ref().map_or(Ok(()), |j| j.append_accepted(&line));
+        if let Err(e) = accepted {
             inner.sink.count(Counter::ServeJournalFail, 1);
             obs.failed_journal.fetch_add(1, Ordering::Relaxed);
             obs.recorder

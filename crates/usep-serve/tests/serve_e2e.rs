@@ -1,12 +1,13 @@
 //! End-to-end serve tests over real sockets: clean solves, typed
 //! rejections, load shedding, idempotent replay, and journal resume.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::time::{Duration, Instant};
 use usep_core::Instance;
 use usep_gen::{generate, SyntheticConfig};
 use usep_serve::{
-    send_request, Journal, JournalRecord, JournalState, ServeConfig, Server, SolveRequest,
-    SolveResponse, Status,
+    send_request, Journal, JournalRecord, JournalState, MutateResponse, ServeConfig, Server,
+    SolveRequest, SolveResponse, Status,
 };
 use usep_trace::Counter;
 
@@ -60,39 +61,111 @@ fn solves_end_to_end_and_replays_duplicates_from_cache() {
 
 #[test]
 fn malformed_unknown_and_invalid_requests_are_rejected_not_fatal() {
-    use std::io::{BufRead, BufReader, Write};
-
     let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.addr();
 
-    // raw garbage line → typed Rejected, connection stays usable
+    // every line on one connection: each rejection is typed and the
+    // connection stays usable
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
-    writeln!(stream, "this is not json").unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let resp: SolveResponse = serde_json::from_str(line.trim_end()).unwrap();
-    assert!(matches!(resp.status, Status::Rejected { .. }), "{resp:?}");
+    let mut exchange = |line: &str| {
+        writeln!(stream, "{line}").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let rejection = |reply: String| {
+        match serde_json::from_str::<SolveResponse>(reply.trim_end()).unwrap().status {
+            Status::Rejected { error } => error,
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+    };
 
-    // unknown algorithm on the same connection
+    // raw garbage, an unknown algorithm, JSON that is not a request
+    // object, a verb that is not a string, an unknown verb and an empty
+    // id: each is rejected with the exact text it has always had
     let mut bad_algo = request("job-2", 8);
     bad_algo.algorithm = Some("quantum-annealing".to_string());
-    writeln!(stream, "{}", serde_json::to_string(&bad_algo).unwrap()).unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    let resp: SolveResponse = serde_json::from_str(line.trim_end()).unwrap();
-    match &resp.status {
-        Status::Rejected { error } => assert!(error.contains("quantum-annealing")),
-        other => panic!("expected Rejected, got {other:?}"),
+    for (line, error) in [
+        ("this is not json".to_string(), "parse: invalid literal (expected `true`) at byte 0"),
+        (serde_json::to_string(&bad_algo).unwrap(), "unknown algorithm 'quantum-annealing'"),
+        ("[1]".to_string(), "parse: expected map for SolveRequest, found a sequence"),
+        (r#"{"verb":7}"#.to_string(), "parse: missing field `id` of SolveRequest"),
+        (r#"{"verb":"nope"}"#.to_string(), "unknown verb 'nope'"),
+        (serde_json::to_string(&request("", 8)).unwrap(), "empty request id"),
+    ] {
+        assert_eq!(rejection(exchange(&line)), error, "{line}");
     }
 
-    // a good request still works after both rejections
+    // a mutate line whose body does not decode is a mutate rejection
+    let reply = exchange(
+        r#"{"verb":"mutate","session":"s","mutation_id":"m","mutation":{"Bogus":{}}}"#,
+    );
+    let reply: MutateResponse = serde_json::from_str(reply.trim_end()).unwrap();
+    assert!(!reply.ok);
+    assert_eq!(reply.error.as_deref(), Some("parse: unknown variant `Bogus` of Mutation"));
+
+    // a good request still works after every rejection
     let ok = send_request(addr, &request("job-3", 9), CLIENT_TIMEOUT).unwrap();
     assert_eq!(ok.status, Status::Complete);
 
     server.shutdown();
     server.wait();
+}
+
+/// The journal holds a request line as received. A line whose bytes a
+/// re-encode would change (keys out of order, spaces, an unknown field,
+/// escapes, a CRLF ending) must still replay as owed while its solve is
+/// in flight, and decode to the request the server admitted.
+#[test]
+fn an_in_flight_non_canonical_request_replays_as_pending() {
+    let dir = tempdir("received");
+    let wal = dir.join("wal.jsonl");
+    let cfg = ServeConfig {
+        journal: Some(wal.clone()),
+        chaos_delay_ms: 3000,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).unwrap();
+    let inst = instance(40);
+    let line = format!(
+        "{{ \"timeout_ms\": 20000 , \"note\" : \"not a field\", \"instance\" : {} ,{}}}\r\n",
+        serde_json::to_string(&inst).unwrap(),
+        r#""id":"in\"fl\u00e9ght""#
+    );
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    stream.write_all(line.as_bytes()).unwrap();
+
+    // the accept record is durable before the solve starts, and each
+    // solve first sleeps for the chaos delay
+    let deadline = Instant::now() + CLIENT_TIMEOUT;
+    let state = loop {
+        let state = JournalState::replay(&wal).unwrap();
+        if !state.pending.is_empty() || Instant::now() > deadline {
+            break state;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(state.quarantined, 0);
+    assert!(state.completed.is_empty(), "the solve is still in flight");
+    assert_eq!(state.pending.len(), 1);
+    let owed = &state.pending[0];
+    assert_eq!(owed.id, "in\"fl\u{e9}ght");
+    assert_eq!(owed.timeout_ms, Some(20_000));
+    assert_eq!(*owed.instance, inst);
+
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    let resp: SolveResponse = serde_json::from_str(reply.trim_end()).unwrap();
+    assert_eq!((resp.id.as_str(), &resp.status), ("in\"fl\u{e9}ght", &Status::Complete));
+    server.shutdown();
+    server.wait();
+    let state = JournalState::replay(&wal).unwrap();
+    assert!(state.pending.is_empty());
+    assert_eq!(state.completed.len(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
