@@ -8,8 +8,8 @@
 //! monotonically adding event-user pairs. Since it never removes an
 //! assignment, Ω only grows, so DeDPO+RG keeps DeDPO's ½-approximation.
 
-use crate::ratio_greedy::run_ratio_greedy;
-use usep_core::{EventId, Instance, Planning};
+use crate::ratio_greedy::{run_ratio_greedy, Seed};
+use usep_core::{EventId, Instance, Planning, UserId};
 use usep_guard::Guard;
 use usep_trace::{with_span, Counter, Probe, NOOP};
 
@@ -34,38 +34,51 @@ pub fn augment_with_ratio_greedy_guarded(
         .event_ids()
         .filter(|&v| planning.remaining_capacity(inst, v) > 0)
         .collect();
-    augment_events(inst, planning, &residual, guard, probe)
+    augment_events(inst, planning, &residual, Seed::All, None, guard, probe)
 }
 
 /// Runs the RatioGreedy augmentation engine restricted to an explicit
-/// event subset: only pairs `(v, u)` with `v ∈ events` are considered,
-/// existing schedules are respected, and assignments are only ever
-/// added. This is the bounded-repair primitive of `usep-delta` — after
-/// a mutation touches one event (or a handful), repairing against just
-/// those events keeps per-mutation work proportional to the touched
-/// set instead of the whole instance. Returns the number of
-/// assignments added.
+/// event subset, with its heap seeded from `seed`: only pairs `(v, u)`
+/// with `v ∈ events` are considered, existing schedules are respected,
+/// and assignments are only ever added. Returns the pairs it added, in
+/// the order it accepted them.
+///
+/// `usep-delta` repairs a mutation with it: the engine passes every
+/// event with residual capacity and seeds only what the mutation
+/// touched, [`Seed::Dirty`]. The planning it repairs had no valid pair
+/// left before the mutation, so the pass accepts exactly what a
+/// [`Seed::All`] pass over the same events would, while its seed costs
+/// a scan per touched event and user instead of one per residual event
+/// and user.
 pub fn augment_events_with_ratio_greedy(
     inst: &Instance,
     planning: &mut Planning,
     events: &[EventId],
+    seed: Seed<'_>,
     probe: &dyn Probe,
-) -> usize {
-    augment_events(inst, planning, events, Guard::none(), probe)
+) -> Vec<(UserId, EventId)> {
+    let mut added = Vec::new();
+    augment_events(inst, planning, events, seed, Some(&mut added), Guard::none(), probe);
+    added
 }
 
 /// The pass behind every public entry: RatioGreedy over `events` under
 /// an `augment_rg` span, each added assignment counted as an
-/// `augment_swap`.
+/// `augment_swap` (and logged to `accepted`, when given). Returns the
+/// number of assignments added.
 fn augment_events(
     inst: &Instance,
     planning: &mut Planning,
     events: &[EventId],
+    seed: Seed<'_>,
+    accepted: Option<&mut Vec<(UserId, EventId)>>,
     guard: &Guard,
     probe: &dyn Probe,
 ) -> usize {
     let before = planning.num_assignments();
-    with_span(probe, "augment_rg", || run_ratio_greedy(inst, planning, events, guard, probe));
+    with_span(probe, "augment_rg", || {
+        run_ratio_greedy(inst, planning, events, seed, accepted, guard, probe)
+    });
     let added = planning.num_assignments() - before;
     probe.count(Counter::AugmentSwap, added as u64);
     added

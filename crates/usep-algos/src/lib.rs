@@ -42,7 +42,7 @@ pub use degreedy::DeGreedy;
 pub use guarded::{GuardedReport, GuardedSolver};
 pub use local_search::WithLocalSearch;
 pub use maxmin::MaxMinGreedy;
-pub use ratio_greedy::RatioGreedy;
+pub use ratio_greedy::{RatioGreedy, Seed};
 
 use usep_core::{Instance, Planning};
 pub use usep_guard::{CancelToken, Guard, SolveBudget, SolveOutcome, TruncationReason};

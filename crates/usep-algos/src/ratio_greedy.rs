@@ -13,6 +13,23 @@
 //! start from a non-empty planning and restrict itself to a subset of
 //! events (those with residual capacity).
 //!
+//! # Seed
+//!
+//! Lines 3–8 seed the heap with every event's and every user's best
+//! pair. Solves and the `+RG` pass do exactly that ([`Seed::All`]). A
+//! `usep-delta` repair seeds only the events and users its mutation
+//! touched ([`Seed::Dirty`]): it starts from a planning in which no
+//! valid pair was left, and the mutation can only have made pairs valid
+//! that touch one of them. Assignments only ever remove validity, so no
+//! other pair turns valid during the run. And a valid pair always has a
+//! live heap entry that ranks it: its event's, once the event has been
+//! refreshed, else its user's, which is refreshed after every change to
+//! that user's schedule. So when every valid pair has a seeded event or
+//! user, the run accepts the same pairs in the same order as under a
+//! full seed; only stale entries and refresh counts differ (DESIGN.md
+//! §16 has the argument). A repair also logs the pairs it accepts, in
+//! acceptance order, for its caller to stamp.
+//!
 //! # Cached event refresh
 //!
 //! A pair's key — ratio ↓, then `inc_cost` ↑, then user id ↑ — depends
@@ -74,10 +91,28 @@ impl Solver for RatioGreedy {
         let mut planning = Planning::empty(inst);
         let events: Vec<EventId> = inst.event_ids().collect();
         with_span(probe, "ratio_greedy", || {
-            run_ratio_greedy(inst, &mut planning, &events, guard, probe);
+            run_ratio_greedy(inst, &mut planning, &events, Seed::All, None, guard, probe);
         });
         GuardedSolve { planning, outcome: finish_guarded(guard, probe) }
     }
+}
+
+/// What a RatioGreedy run seeds its heap with (lines 3–8): which events
+/// get an event-side entry and which users a user-side one before the
+/// drain starts. See the module docs.
+#[derive(Clone, Copy, Debug)]
+pub enum Seed<'a> {
+    /// Every event the run may assign and every user, as Algorithm 1
+    /// does.
+    All,
+    /// Only these events (those outside the run's events are skipped)
+    /// and these users, in this order.
+    Dirty {
+        /// Events whose pairs the caller may have made valid.
+        events: &'a [EventId],
+        /// Users whose pairs the caller may have made valid.
+        users: &'a [UserId],
+    },
 }
 
 /// Which side of the bipartition a heap candidate was computed for.
@@ -605,16 +640,39 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Seeds the heap with every event's and then every user's best
-    /// pair (lines 3–8), checking the guard before each refresh.
-    fn seed(&mut self) {
-        for pos in 0..self.events.len() {
+    /// Seeds the heap (lines 3–8) with the best pair of each event in
+    /// `seed` and then of each user in it, checking the guard before
+    /// each refresh.
+    fn seed(&mut self, seed: Seed<'_>) {
+        let inst = self.inst;
+        match seed {
+            Seed::All => self.seed_from(0..self.events.len(), inst.user_ids()),
+            Seed::Dirty { events, users } => {
+                let event_pos = &self.event_pos;
+                let positions: Vec<usize> = events
+                    .iter()
+                    .filter_map(|v| match event_pos[v.index()] {
+                        u32::MAX => None,
+                        pos => Some(pos as usize),
+                    })
+                    .collect();
+                self.seed_from(positions, users.iter().copied());
+            }
+        }
+    }
+
+    fn seed_from(
+        &mut self,
+        positions: impl IntoIterator<Item = usize>,
+        users: impl IntoIterator<Item = UserId>,
+    ) {
+        for pos in positions {
             if self.guard.checkpoint() {
                 return;
             }
             self.refresh_event(pos);
         }
-        for u in self.inst.user_ids() {
+        for u in users {
             if self.guard.checkpoint() {
                 return;
             }
@@ -622,9 +680,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(&mut self) {
+    /// Seeds and drains the heap, appending each accepted pair to
+    /// `accepted` when given.
+    fn run(&mut self, seed: Seed<'_>, mut accepted: Option<&mut Vec<(UserId, EventId)>>) {
         self.probe.span_enter("ratio_greedy.seed");
-        self.seed();
+        self.seed(seed);
         self.probe.span_exit("ratio_greedy.seed");
         self.probe.span_enter("ratio_greedy.drain");
         while let Some(c) = self.heap.pop() {
@@ -659,6 +719,9 @@ impl<'a> Engine<'a> {
                     .expect("pair validated as assignable");
                 self.occ.set(c.u, c.v);
                 self.lists.log(c.u);
+                if let Some(log) = accepted.as_deref_mut() {
+                    log.push((c.u, c.v));
+                }
                 if self.probe.enabled() {
                     self.probe.record("ratio_greedy.accepted_inc", inc.as_f64());
                 }
@@ -688,13 +751,17 @@ impl<'a> Engine<'a> {
 }
 
 /// Runs the RatioGreedy engine on `planning`, restricted to `events`
-/// (Algorithm 1; also the `+RG` pass when `planning` is non-empty and
-/// `events` are the non-full ones). Existing schedules are respected —
-/// incremental costs are computed against them.
+/// and seeded from `seed` (Algorithm 1; also the `+RG` pass when
+/// `planning` is non-empty and `events` are the non-full ones). Existing
+/// schedules are respected — incremental costs are computed against
+/// them. Each pair it assigns is appended to `accepted`, when given, in
+/// acceptance order.
 pub(crate) fn run_ratio_greedy(
     inst: &Instance,
     planning: &mut Planning,
     events: &[EventId],
+    seed: Seed<'_>,
+    accepted: Option<&mut Vec<(UserId, EventId)>>,
     guard: &Guard,
     probe: &dyn Probe,
 ) {
@@ -702,7 +769,7 @@ pub(crate) fn run_ratio_greedy(
         return;
     }
     let flat = inst.freeze();
-    Engine::new(inst, &flat, planning, events, guard, probe).run();
+    Engine::new(inst, &flat, planning, events, guard, probe).run(seed, accepted);
 }
 
 #[cfg(test)]

@@ -18,6 +18,13 @@
 //! traffic — pushes, pops and stale pops — moves with every answer, so
 //! it is compared too.
 //!
+//! One more case checks `Seed::Dirty`, the seed of a `usep-delta`
+//! repair: a RatioGreedy planning, which has no valid pair left, is
+//! edited by releases, capacity raises and μ raises from zero, and a
+//! pass seeded with exactly the events and users those touched must
+//! give the fully seeded pass's planning. Its heap traffic differs by
+//! design.
+//!
 //! The seeded cases use capacities above the engine's shortest list and
 //! at least eight users per list slot, so during their solves lists run
 //! dry and floors overtake list heads, the two triggers of a rescan. The `#[ignore]`d case runs
@@ -34,10 +41,13 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
-use usep_algos::{augment_events_with_ratio_greedy, solve, solve_with_probe, Algorithm};
+use usep_algos::{
+    augment_events_with_ratio_greedy, augment_with_ratio_greedy, solve, solve_with_probe,
+    Algorithm, Seed,
+};
 use usep_core::{Cost, EventId, FlatInstance, Instance, Planning, UserId};
 use usep_gen::{generate, SyntheticConfig};
-use usep_trace::{Counter, TraceSink};
+use usep_trace::{Counter, TraceSink, NOOP};
 
 /// The thread count is a process-global override; tests that flip it
 /// hold this lock.
@@ -284,9 +294,76 @@ fn check_augment(inst: &Instance, seed: u64, threads: usize, what: &str) {
     let expect = Reference::run(inst, start.clone(), &events);
     let mut got = start;
     let sink = TraceSink::new();
-    at_threads(threads, || augment_events_with_ratio_greedy(inst, &mut got, &events, &sink));
+    at_threads(threads, || {
+        augment_events_with_ratio_greedy(inst, &mut got, &events, Seed::All, &sink)
+    });
     let what = format!("{what}: augment over {} events at {threads} threads", events.len());
     assert_same((got, traffic(&sink)), expect, &what);
+}
+
+/// A RatioGreedy planning, edited the ways a delta mutation frees room
+/// (a release, a capacity raise, a μ raised from zero on an unassigned
+/// pair), then repaired by a pass seeded with exactly the events and
+/// users the edits touched: the planning must equal the fully seeded
+/// pass's, and the pass must return exactly the pairs it added.
+fn check_dirty_seed(inst: &Instance, seed: u64, what: &str) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut inst = inst.clone();
+    // zeroed cells, so that the edits below can raise μ from zero
+    let mut zeroed = Vec::new();
+    for _ in 0..rng.gen_range(0..=inst.num_events() * inst.num_users() / 4) {
+        let v = EventId(rng.gen_range(0..inst.num_events() as u32));
+        let u = UserId(rng.gen_range(0..inst.num_users() as u32));
+        inst.patch_set_mu(v, u, 0.0).expect("μ = 0 is in range");
+        zeroed.push((v, u));
+    }
+    let mut planning = solve(Algorithm::RatioGreedy, &inst);
+    let (mut events, mut users) = (Vec::new(), Vec::new());
+    for _ in 0..rng.gen_range(1..=4) {
+        match rng.gen_range(0..3) {
+            0 => {
+                let assigned: Vec<(UserId, EventId)> = planning.assignments().collect();
+                if let Some(&(u, v)) = assigned.get(rng.gen_range(0..assigned.len().max(1))) {
+                    planning.unassign(u, v);
+                    events.push(v);
+                    users.push(u);
+                }
+            }
+            1 => {
+                let v = EventId(rng.gen_range(0..inst.num_events() as u32));
+                let capacity = inst.event(v).capacity + rng.gen_range(1..=3u32);
+                inst.patch_set_capacity(v, capacity).expect("a raised capacity is positive");
+                events.push(v);
+            }
+            _ => {
+                // a zeroed pair at an event with room, which the raise
+                // can make valid (μ = 0 pairs are never assigned)
+                let open: Vec<(EventId, UserId)> = zeroed
+                    .iter()
+                    .copied()
+                    .filter(|&(v, _)| planning.remaining_capacity(&inst, v) > 0)
+                    .collect();
+                if let Some(&(v, u)) = open.get(rng.gen_range(0..open.len().max(1))) {
+                    inst.patch_set_mu(v, u, rng.gen_range(0.05..1.0)).expect("μ in range");
+                    users.push(u);
+                }
+            }
+        }
+    }
+
+    let mut expect = planning.clone();
+    augment_with_ratio_greedy(&inst, &mut expect);
+    let mut got = planning.clone();
+    let seed = Seed::Dirty { events: &events, users: &users };
+    let mut added =
+        augment_events_with_ratio_greedy(&inst, &mut got, &residual(&inst, &planning), seed, &NOOP);
+    let what = format!("{what}: {} dirty events, {} dirty users", events.len(), users.len());
+    assert!(got == expect, "{what}: the dirty-seeded pass differs from the fully seeded one");
+    let mut expect_added: Vec<(UserId, EventId)> =
+        got.assignments().filter(|&(u, v)| !planning.schedule(u).contains(v)).collect();
+    expect_added.sort_unstable();
+    added.sort_unstable();
+    assert_eq!(added, expect_added, "{what}: returned pairs are not the pairs added");
 }
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -308,6 +385,15 @@ proptest! {
             check_solvers(&inst, threads, "proptest");
             check_augment(&inst, seed, threads, "proptest");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_dirty_seed_repairs_like_the_full_seed(inst in arb_instance(), seed in any::<u64>()) {
+        check_dirty_seed(&inst, seed, "proptest");
     }
 }
 

@@ -14,16 +14,23 @@
 //!    deterministically: cancelled events release every attendee,
 //!    capacity shrinks evict in LIFO stamp order, departures release
 //!    the departing user's schedule, μ-zeroing releases the one pair.
-//!    All released utility accrues to the churn accumulator.
+//!    All released utility accrues to the churn accumulator. Steps 1
+//!    and 2 record the mutation's *dirty set*: the events whose
+//!    capacity was freed, raised or created, and the users whose
+//!    schedule shrank, who arrived, or whose μ rose on an unassigned
+//!    pair.
 //! 3. **Repair or fallback** — if the drift metric (accumulated churn
 //!    over `min(Ω_anchor, Ω_now)`, where the anchor is Ω at the last
 //!    full resolve) stays below [`DeltaConfig::fallback_threshold`], a
 //!    single RatioGreedy augmentation pass over the residual events
-//!    re-fills freed capacity (bounded work: the pass only considers
-//!    non-full events and only ever adds assignments), and whatever
-//!    utility it recovers pays the churn back down. Otherwise the
-//!    engine falls back to a cold RatioGreedy solve, resets the churn
-//!    accumulator and re-anchors Ω.
+//!    re-fills freed capacity, and whatever utility it recovers pays
+//!    the churn back down. The pass only ever adds assignments and is
+//!    seeded from the dirty set alone: the planning had no valid pair
+//!    left before the mutation, so only pairs touching the dirty set
+//!    can be valid, and the pass accepts exactly what one seeded with
+//!    every residual event and user would (DESIGN.md §16). Otherwise
+//!    the engine falls back to a cold RatioGreedy solve, resets the
+//!    churn accumulator and re-anchors Ω.
 //!
 //! Because the repair pass is *augmentation-stable* (re-running it on a
 //! planning it just produced adds nothing), applying a mutation and its
@@ -32,7 +39,7 @@
 
 use std::collections::HashMap;
 
-use usep_algos::{augment_events_with_ratio_greedy, solve_with_probe, Algorithm};
+use usep_algos::{augment_events_with_ratio_greedy, solve_with_probe, Algorithm, Seed};
 use usep_core::{Cost, EventId, Instance, PatchError, Planning, Schedule, UserId};
 use usep_trace::{Counter, Probe};
 
@@ -115,6 +122,24 @@ pub struct MutationOutcome {
     pub drift: f64,
     /// Ω after absorbing the mutation.
     pub omega: f64,
+}
+
+/// A mutation patched into the instance and released from the
+/// planning, waiting for its repair or fallback: what
+/// [`DeltaEngine::patch_and_release`] hands to
+/// [`DeltaEngine::repair_or_fallback`].
+#[doc(hidden)]
+#[derive(Debug)]
+#[must_use = "the engine is mid-mutation until `repair_or_fallback` takes this"]
+pub struct Released {
+    touched: usize,
+    evicted: usize,
+    /// Events whose capacity the mutation freed, raised or created, in
+    /// post-patch dense ids.
+    dirty_events: Vec<EventId>,
+    /// Users whose schedule shrank, who arrived, or whose μ rose on an
+    /// unassigned pair, in post-patch dense ids.
+    dirty_users: Vec<UserId>,
 }
 
 /// Running totals across the engine's lifetime.
@@ -253,8 +278,30 @@ impl DeltaEngine {
         self.user_dense.get(&stable).copied().ok_or(DeltaError::UnknownUser(stable))
     }
 
+    /// Recency stamps of the live assignments, keyed by `(stable user,
+    /// stable event)`; higher is more recent.
+    #[doc(hidden)]
+    pub fn stamps(&self) -> &HashMap<(u32, u32), u64> {
+        &self.stamps
+    }
+
     /// Absorbs one mutation: patch, release, then repair or fall back.
     pub fn apply(&mut self, m: &Mutation, probe: &dyn Probe) -> Result<MutationOutcome, DeltaError> {
+        let released = self.patch_and_release(m, probe)?;
+        Ok(self.repair_or_fallback(released, probe))
+    }
+
+    /// Steps 1 and 2 of [`apply`](Self::apply): patch and release,
+    /// recording what the mutation made dirty. Split out so tests can
+    /// inspect the released planning; the engine is mid-mutation until
+    /// [`repair_or_fallback`](Self::repair_or_fallback) takes the
+    /// result.
+    #[doc(hidden)]
+    pub fn patch_and_release(
+        &mut self,
+        m: &Mutation,
+        probe: &dyn Probe,
+    ) -> Result<Released, DeltaError> {
         // Validate up front so a refused mutation leaves no partial
         // state behind (the release step below mutates the planning
         // before the patch runs).
@@ -264,6 +311,8 @@ impl DeltaEngine {
         self.stats.mutations += 1;
         let touched;
         let mut evicted = 0usize;
+        let mut dirty_events = Vec::new();
+        let mut dirty_users = Vec::new();
 
         match m {
             Mutation::EventAdd { capacity, location, time, fee, mu } => {
@@ -276,11 +325,13 @@ impl DeltaEngine {
                 // re-key the planning so its load vector covers the new event
                 self.planning =
                     Planning::from_schedules(&self.inst, self.planning.schedules().to_vec());
+                dirty_events.push(v);
                 touched = 1;
             }
             Mutation::EventRemove { event } => {
                 let v = self.dense_event(*event)?;
-                evicted += self.release_attendees(v, 0, probe);
+                dirty_users = self.release_attendees(v, 0, probe);
+                evicted = dirty_users.len();
                 let moved = self.inst.patch_remove_event(v)?;
                 self.event_dense.remove(event);
                 self.event_stable.swap_remove(v.index());
@@ -305,7 +356,11 @@ impl DeltaEngine {
             }
             Mutation::CapacityChange { event, capacity } => {
                 let v = self.dense_event(*event)?;
-                evicted += self.release_attendees(v, *capacity, probe);
+                if *capacity > self.inst.event(v).capacity {
+                    dirty_events.push(v);
+                }
+                dirty_users = self.release_attendees(v, *capacity, probe);
+                evicted = dirty_users.len();
                 self.inst.patch_set_capacity(v, *capacity)?;
                 touched = 1 + evicted;
             }
@@ -325,6 +380,7 @@ impl DeltaEngine {
                 // makes, so it must count toward drift or the engine
                 // would sail blindly past a cold solve that reseats
                 self.churned += self.displacement_potential(u);
+                dirty_users.push(u);
                 touched = 1;
             }
             Mutation::UserDepart { user } => {
@@ -333,11 +389,11 @@ impl DeltaEngine {
                 // reallocatable to other users, so this counts as churn
                 // like any other release (the repair pass pays it back
                 // down by whatever utility it recovers)
-                let events: Vec<EventId> = self.planning.schedule(u).events().to_vec();
-                for v in &events {
-                    let mu = self.inst.mu(*v, u);
-                    self.planning.unassign(u, *v);
-                    self.note_release(u, *v, mu, probe);
+                dirty_events = self.planning.schedule(u).events().to_vec();
+                for &v in &dirty_events {
+                    let mu = self.inst.mu(v, u);
+                    self.planning.unassign(u, v);
+                    self.note_release(u, v, mu, probe);
                     evicted += 1;
                 }
                 let moved = self.inst.patch_remove_user(u)?;
@@ -361,6 +417,10 @@ impl DeltaEngine {
                     self.planning.unassign(u, v);
                     self.note_release(u, v, old, probe);
                     evicted = 1;
+                    dirty_events.push(v);
+                    dirty_users.push(u);
+                } else if !was_assigned && new > old {
+                    dirty_users.push(u);
                 }
                 self.inst.patch_set_mu(v, u, new)?;
                 if was_assigned && *mu > 0.0 && new < old {
@@ -382,7 +442,15 @@ impl DeltaEngine {
                 touched = 1 + evicted;
             }
         }
+        Ok(Released { touched, evicted, dirty_events, dirty_users })
+    }
 
+    /// Step 3 of [`apply`](Self::apply): repair what
+    /// [`patch_and_release`](Self::patch_and_release) left, or fall
+    /// back to a cold solve when drift says so.
+    #[doc(hidden)]
+    pub fn repair_or_fallback(&mut self, released: Released, probe: &dyn Probe) -> MutationOutcome {
+        let Released { touched, evicted, dirty_events, dirty_users } = released;
         let drift = self.drift();
         let outcome = if drift > self.cfg.fallback_threshold {
             self.full_resolve(probe);
@@ -396,7 +464,7 @@ impl DeltaEngine {
                 omega: self.planning.omega(&self.inst),
             }
         } else {
-            let (added, recovered) = self.augment_residual(probe);
+            let (added, recovered) = self.augment_residual(&dirty_events, &dirty_users, probe);
             // recovered utility pays accumulated churn back down: churn
             // only persists when repairs fail to re-place what was
             // released, which is exactly when a full resolve will pay
@@ -416,7 +484,7 @@ impl DeltaEngine {
             }
         };
         probe.record(TOUCHED_HISTOGRAM, outcome.touched as f64);
-        Ok(outcome)
+        outcome
     }
 
     /// Rejects a mutation before any state changes. Mirrors the checks
@@ -576,11 +644,11 @@ impl DeltaEngine {
     }
 
     /// Unassigns attendees of `v` down to `keep` in LIFO stamp order
-    /// (most recently assigned leave first). Returns the release count.
-    fn release_attendees(&mut self, v: EventId, keep: u32, probe: &dyn Probe) -> usize {
+    /// (most recently assigned leave first). Returns the released users.
+    fn release_attendees(&mut self, v: EventId, keep: u32, probe: &dyn Probe) -> Vec<UserId> {
         let load = self.planning.load(v);
         if load <= keep {
-            return 0;
+            return Vec::new();
         }
         let sv = self.event_stable[v.index()];
         let mut attendees: Vec<(u64, UserId)> = Vec::new();
@@ -594,12 +662,13 @@ impl DeltaEngine {
         // newest stamps first; dense index breaks (impossible) ties
         attendees.sort_by(|a, b| b.cmp(a));
         let excess = (load - keep) as usize;
-        for &(_, u) in attendees.iter().take(excess) {
+        let released: Vec<UserId> = attendees.iter().take(excess).map(|&(_, u)| u).collect();
+        for &u in &released {
             let mu = self.inst.mu(v, u);
             self.planning.unassign(u, v);
             self.note_release(u, v, mu, probe);
         }
-        excess
+        released
     }
 
     /// Books the release of one assignment: churn accrues, the stamp
@@ -611,9 +680,15 @@ impl DeltaEngine {
     }
 
     /// One RatioGreedy augmentation pass over every event with residual
-    /// capacity, stamping whatever it adds. Returns the number of
-    /// assignments added and the utility they recovered.
-    fn augment_residual(&mut self, probe: &dyn Probe) -> (usize, f64) {
+    /// capacity, seeded from the mutation's dirty events and users, and
+    /// a stamp for each pair it adds. Returns the number of assignments
+    /// added and the utility they recovered.
+    fn augment_residual(
+        &mut self,
+        dirty_events: &[EventId],
+        dirty_users: &[UserId],
+        probe: &dyn Probe,
+    ) -> (usize, f64) {
         let residual: Vec<EventId> = self
             .inst
             .event_ids()
@@ -622,30 +697,30 @@ impl DeltaEngine {
         if residual.is_empty() {
             return (0, 0.0);
         }
-        let before = self.planning.clone();
-        let omega_before = before.omega(&self.inst);
-        let added = augment_events_with_ratio_greedy(&self.inst, &mut self.planning, &residual, probe);
-        if added > 0 {
-            for ui in 0..self.inst.num_users() {
-                let u = UserId(ui as u32);
-                let old = before.schedule(u).events();
-                let new = self.planning.schedule(u).events();
-                if new.len() == old.len() {
-                    continue;
-                }
-                for &v in new {
-                    if !old.contains(&v) {
-                        self.seq += 1;
-                        self.stamps.insert(
-                            (self.user_stable[ui], self.event_stable[v.index()]),
-                            self.seq,
-                        );
-                    }
-                }
-            }
+        let omega_before = self.planning.omega(&self.inst);
+        let seed = Seed::Dirty { events: dirty_events, users: dirty_users };
+        let mut added = augment_events_with_ratio_greedy(
+            &self.inst,
+            &mut self.planning,
+            &residual,
+            seed,
+            probe,
+        );
+        // stamp in the planning's canonical order (user-major, then
+        // schedule order), as `restamp` does: LIFO evictions read the
+        // stamps, and a journal replayed on resume must evict as it did
+        // when it was recorded
+        let planning = &self.planning;
+        added.sort_unstable_by_key(|&(u, v)| {
+            (u, planning.schedule(u).events().iter().position(|&w| w == v))
+        });
+        for &(u, v) in &added {
+            self.seq += 1;
+            self.stamps
+                .insert((self.user_stable[u.index()], self.event_stable[v.index()]), self.seq);
         }
         let recovered = (self.planning.omega(&self.inst) - omega_before).max(0.0);
-        (added, recovered)
+        (added.len(), recovered)
     }
 
     /// Cold RatioGreedy solve over the live instance: replaces the

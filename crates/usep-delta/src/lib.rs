@@ -13,7 +13,8 @@
 //!   bounded work: instance *patch* (`usep-core`'s strided amendments,
 //!   never a rebuild), deterministic *release* of invalidated
 //!   assignments (LIFO on capacity shrink), then one RatioGreedy
-//!   augmentation pass over residual events. A drift metric —
+//!   augmentation pass over residual events, seeded only from the
+//!   events and users the mutation touched. A drift metric —
 //!   released-but-surviving utility over the Ω anchor — triggers
 //!   fallback to a full resolve when repairs have churned too much.
 //! * [`generate_trace`] — seeded, adversarial trace generator
