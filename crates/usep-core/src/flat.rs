@@ -1,7 +1,7 @@
 //! [`FlatInstance`] — the cache-friendly structure-of-arrays lowering
 //! of an [`Instance`], produced once per instance by
-//! [`Instance::freeze`] and borrowed read-only by every solver hot
-//! path.
+//! [`Instance::freeze`], borrowed read-only by every solver hot path,
+//! and amended in place by the instance's `patch_*` methods.
 //!
 //! Every schedule-level operation the algorithms perform per candidate
 //! pair — the insertion-point probe, Eq. (3)'s incremental cost, the
@@ -96,8 +96,6 @@ impl FlatInstance {
     pub fn build(inst: &Instance) -> FlatInstance {
         let nv = inst.num_events();
         let nu = inst.num_users();
-        let words = nv.div_ceil(64);
-
         let mut mu = Vec::with_capacity(nu * nv);
         for u in inst.user_ids() {
             mu.extend_from_slice(inst.mu_row(u));
@@ -128,112 +126,10 @@ impl FlatInstance {
         let capacity: Vec<u32> = inst.events().iter().map(|e| e.capacity).collect();
         let budget: Vec<Cost> = inst.users().iter().map(|u| u.budget).collect();
 
-        let conflict = build_conflict(&start, &end, words);
-
-        FlatInstance { nv, nu, words, mu, to, from, rt, vv, start, end, capacity, budget, conflict }
-    }
-
-    /// A copy with one capacity cell amended — the capacity-change
-    /// patch path ([`Instance::patch_set_capacity`]); every other array
-    /// is a verbatim memcpy of the frozen original.
-    pub(crate) fn amend_capacity(&self, v: EventId, capacity: u32) -> FlatInstance {
-        let mut f = self.clone();
-        f.capacity[v.index()] = capacity;
-        f
-    }
-
-    /// A copy with one μ cell amended (`Instance::patch_set_mu`).
-    pub(crate) fn amend_mu(&self, v: EventId, u: UserId, mu: f32) -> FlatInstance {
-        let mut f = self.clone();
-        f.mu[u.index() * self.nv + v.index()] = mu;
-        f
-    }
-
-    /// A copy with one user row appended. `inst` must already hold the
-    /// new user at index `u`; existing rows are memcpy'd and only the
-    /// new user's `|V|` leg costs are derived.
-    pub(crate) fn amend_add_user(&self, inst: &Instance, u: UserId) -> FlatInstance {
-        let mut f = self.clone();
-        f.nu += 1;
-        f.mu.extend_from_slice(inst.mu_row(u));
-        for v in inst.event_ids() {
-            let t = inst.cost_to_event(u, v);
-            let b = inst.cost_from_event(v, u);
-            f.to.push(t);
-            f.from.push(b);
-            f.rt.push(t.add(b));
-        }
-        f.budget.push(inst.user(u).budget);
-        f
-    }
-
-    /// A copy with user `u`'s row swap-removed (the last row moves into
-    /// `u`'s slot, mirroring `Vec::swap_remove` on the object arrays).
-    pub(crate) fn amend_remove_user(&self, u: UserId) -> FlatInstance {
-        let mut f = self.clone();
-        let nv = self.nv;
-        let last = f.nu - 1;
-        swap_remove_row(&mut f.mu, u.index(), last, nv);
-        swap_remove_row(&mut f.to, u.index(), last, nv);
-        swap_remove_row(&mut f.from, u.index(), last, nv);
-        swap_remove_row(&mut f.rt, u.index(), last, nv);
-        f.budget.swap_remove(u.index());
-        f.nu -= 1;
-        f
-    }
-
-    /// A copy with one event column appended. `inst` must already hold
-    /// the new event at index `v` (the last index): per-user rows are
-    /// re-laid-out to the new stride with only the appended cell
-    /// derived, the `vv` matrix gains one computed row and column, and
-    /// the conflict bitmask is re-derived from the interval endpoints
-    /// (pure bit work — no cost recomputation anywhere).
-    pub(crate) fn amend_add_event(&self, inst: &Instance, v: EventId) -> FlatInstance {
-        let nv = self.nv + 1;
-        debug_assert_eq!(v.index(), self.nv);
-        let nu = self.nu;
-        let words = nv.div_ceil(64);
-
-        let mut mu = Vec::with_capacity(nu * nv);
-        let mut to = Vec::with_capacity(nu * nv);
-        let mut from = Vec::with_capacity(nu * nv);
-        let mut rt = Vec::with_capacity(nu * nv);
-        for ui in 0..nu {
-            let u = UserId(ui as u32);
-            let row = ui * self.nv;
-            mu.extend_from_slice(&self.mu[row..row + self.nv]);
-            mu.push(inst.mu_row(u)[v.index()]);
-            to.extend_from_slice(&self.to[row..row + self.nv]);
-            from.extend_from_slice(&self.from[row..row + self.nv]);
-            rt.extend_from_slice(&self.rt[row..row + self.nv]);
-            let t = inst.cost_to_event(u, v);
-            let b = inst.cost_from_event(v, u);
-            to.push(t);
-            from.push(b);
-            rt.push(t.add(b));
-        }
-
-        let mut vv = Vec::with_capacity(nv * nv);
-        for i in 0..self.nv {
-            vv.extend_from_slice(&self.vv[i * self.nv..(i + 1) * self.nv]);
-            vv.push(inst.cost_vv(EventId(i as u32), v));
-        }
-        for j in 0..nv {
-            vv.push(inst.cost_vv(v, EventId(j as u32)));
-        }
-
-        let mut start = self.start.clone();
-        let mut end = self.end.clone();
-        let mut capacity = self.capacity.clone();
-        start.push(inst.event(v).time.start());
-        end.push(inst.event(v).time.end());
-        capacity.push(inst.event(v).capacity);
-        let conflict = build_conflict(&start, &end, words);
-
-        FlatInstance {
+        let mut flat = FlatInstance {
             nv,
             nu,
-            words,
+            words: 0,
             mu,
             to,
             from,
@@ -242,70 +138,110 @@ impl FlatInstance {
             start,
             end,
             capacity,
-            budget: self.budget.clone(),
-            conflict,
-        }
+            budget,
+            conflict: Vec::new(),
+        };
+        flat.rebuild_conflict();
+        flat
     }
 
-    /// A copy with event `v`'s column swap-removed (the last event's
-    /// column moves into `v`'s slot). Pure re-layout: no cost is
-    /// recomputed, the conflict mask is re-derived from endpoints.
-    pub(crate) fn amend_remove_event(&self, v: EventId) -> FlatInstance {
-        let old_nv = self.nv;
-        let nv = old_nv - 1;
-        let nu = self.nu;
-        let words = nv.div_ceil(64);
-        // column map: dense index in the shrunk layout → old index
-        let old_col = |j: usize| if j == v.index() { old_nv - 1 } else { j };
+    /// Amends one capacity cell (`Instance::patch_set_capacity`).
+    pub(crate) fn amend_capacity(&mut self, v: EventId, capacity: u32) {
+        self.capacity[v.index()] = capacity;
+    }
 
-        let shrink_rows = |arr: &[Cost]| -> Vec<Cost> {
-            let mut out = Vec::with_capacity(nu * nv);
-            for ui in 0..nu {
-                let row = &arr[ui * old_nv..(ui + 1) * old_nv];
-                for j in 0..nv {
-                    out.push(row[old_col(j)]);
+    /// Amends one μ cell (`Instance::patch_set_mu`).
+    pub(crate) fn amend_mu(&mut self, v: EventId, u: UserId, mu: f32) {
+        self.mu[u.index() * self.nv + v.index()] = mu;
+    }
+
+    /// Appends one user row. `inst` must already hold the new user at
+    /// index `u`; only the new user's `|V|` leg costs are derived.
+    pub(crate) fn amend_add_user(&mut self, inst: &Instance, u: UserId) {
+        debug_assert_eq!(u.index(), self.nu);
+        self.mu.extend_from_slice(inst.mu_row(u));
+        for v in inst.event_ids() {
+            let t = inst.cost_to_event(u, v);
+            let b = inst.cost_from_event(v, u);
+            self.to.push(t);
+            self.from.push(b);
+            self.rt.push(t.add(b));
+        }
+        self.budget.push(inst.user(u).budget);
+        self.nu += 1;
+    }
+
+    /// Swap-removes user `u`'s row (the last row moves into `u`'s slot,
+    /// mirroring `Vec::swap_remove` on the object arrays).
+    pub(crate) fn amend_remove_user(&mut self, u: UserId) {
+        let last = self.nu - 1;
+        for arr in [&mut self.to, &mut self.from, &mut self.rt] {
+            swap_remove_row(arr, u.index(), last, self.nv);
+        }
+        swap_remove_row(&mut self.mu, u.index(), last, self.nv);
+        self.budget.swap_remove(u.index());
+        self.nu = last;
+    }
+
+    /// Appends one event column. `inst` must already hold the new event
+    /// at index `v` (the last index): every per-user row and the `vv`
+    /// matrix are re-strided in place with only the new cells derived,
+    /// and the conflict bitmask is re-derived from the interval
+    /// endpoints (pure bit work — no cost recomputation anywhere).
+    pub(crate) fn amend_add_event(&mut self, inst: &Instance, v: EventId) {
+        let (old, nu) = (self.nv, self.nu);
+        debug_assert_eq!(v.index(), old);
+        let user = |r: usize| UserId(r as u32);
+        widen_rows(&mut self.mu, nu, old, |r| inst.mu_row(user(r))[old]);
+        widen_rows(&mut self.to, nu, old, |r| inst.cost_to_event(user(r), v));
+        widen_rows(&mut self.from, nu, old, |r| inst.cost_from_event(v, user(r)));
+        widen_rows(&mut self.rt, nu, old, |r| inst.round_trip(user(r), v));
+        widen_rows(&mut self.vv, old, old, |i| inst.cost_vv(EventId(i as u32), v));
+        self.vv.extend(inst.event_ids().map(|j| inst.cost_vv(v, j)));
+        let event = inst.event(v);
+        self.start.push(event.time.start());
+        self.end.push(event.time.end());
+        self.capacity.push(event.capacity);
+        self.nv = old + 1;
+        self.rebuild_conflict();
+    }
+
+    /// Swap-removes event `v`'s column (the last event's column moves
+    /// into `v`'s slot). Pure in-place re-layout: no cost is
+    /// recomputed, the conflict mask is re-derived from endpoints.
+    pub(crate) fn amend_remove_event(&mut self, v: EventId) {
+        let (old, nu) = (self.nv, self.nu);
+        for arr in [&mut self.to, &mut self.from, &mut self.rt] {
+            narrow_rows(arr, nu, old, v.index());
+        }
+        narrow_rows(&mut self.mu, nu, old, v.index());
+        swap_remove_row(&mut self.vv, v.index(), old - 1, old);
+        narrow_rows(&mut self.vv, old - 1, old, v.index());
+        self.start.swap_remove(v.index());
+        self.end.swap_remove(v.index());
+        self.capacity.swap_remove(v.index());
+        self.nv = old - 1;
+        self.rebuild_conflict();
+    }
+
+    /// Re-derives the `|V| × words` time-conflict bitmask from the
+    /// interval endpoints, in place — shared by [`FlatInstance::build`]
+    /// and the event amendments so both derive the identical predicate.
+    fn rebuild_conflict(&mut self) {
+        let nv = self.nv;
+        self.words = nv.div_ceil(64);
+        let words = self.words;
+        self.conflict.clear();
+        self.conflict.resize(nv * words, 0);
+        for i in 0..nv {
+            let row = &mut self.conflict[i * words..(i + 1) * words];
+            for j in 0..nv {
+                let conflicts =
+                    i == j || (self.start[i] < self.end[j] && self.start[j] < self.end[i]);
+                if conflicts {
+                    row[j / 64] |= 1u64 << (j % 64);
                 }
             }
-            out
-        };
-        let mut mu = Vec::with_capacity(nu * nv);
-        for ui in 0..nu {
-            let row = &self.mu[ui * old_nv..(ui + 1) * old_nv];
-            for j in 0..nv {
-                mu.push(row[old_col(j)]);
-            }
-        }
-
-        let mut vv = Vec::with_capacity(nv * nv);
-        for i in 0..nv {
-            let row = &self.vv[old_col(i) * old_nv..(old_col(i) + 1) * old_nv];
-            for j in 0..nv {
-                vv.push(row[old_col(j)]);
-            }
-        }
-
-        let mut start = self.start.clone();
-        let mut end = self.end.clone();
-        let mut capacity = self.capacity.clone();
-        start.swap_remove(v.index());
-        end.swap_remove(v.index());
-        capacity.swap_remove(v.index());
-        let conflict = build_conflict(&start, &end, words);
-
-        FlatInstance {
-            nv,
-            nu,
-            words,
-            mu,
-            to: shrink_rows(&self.to),
-            from: shrink_rows(&self.from),
-            rt: shrink_rows(&self.rt),
-            vv,
-            start,
-            end,
-            capacity,
-            budget: self.budget.clone(),
-            conflict,
         }
     }
 
@@ -358,32 +294,50 @@ impl FlatInstance {
     }
 }
 
-/// Builds the `|V| × words` time-conflict bitmask from interval
-/// endpoints — shared by [`FlatInstance::build`] and the patch-path
-/// amendments so both derive the identical predicate.
-fn build_conflict(start: &[i64], end: &[i64], words: usize) -> Vec<u64> {
-    let nv = start.len();
-    let mut conflict = vec![0u64; nv * words];
-    for i in 0..nv {
-        let row = &mut conflict[i * words..(i + 1) * words];
-        for j in 0..nv {
-            let conflicts = i == j || (start[i] < end[j] && start[j] < end[i]);
-            if conflicts {
-                row[j / 64] |= 1u64 << (j % 64);
-            }
-        }
-    }
-    conflict
-}
-
 /// In-place `Vec::swap_remove` of row `row` in a `stride`-strided
 /// row-major matrix with `last + 1` rows: the last row moves into
 /// `row`'s slot, then the vector shrinks by one row.
-fn swap_remove_row<T: Copy>(arr: &mut Vec<T>, row: usize, last: usize, stride: usize) {
+pub(crate) fn swap_remove_row<T: Copy>(arr: &mut Vec<T>, row: usize, last: usize, stride: usize) {
     if row != last {
         arr.copy_within(last * stride..(last + 1) * stride, row * stride);
     }
     arr.truncate(last * stride);
+}
+
+/// Re-strides a `rows × stride` row-major matrix to `stride + 1` in
+/// place, appending `cell(r)` to row `r`. Rows move back to front,
+/// since each lands at or past where it started.
+pub(crate) fn widen_rows<T: Copy>(
+    arr: &mut Vec<T>,
+    rows: usize,
+    stride: usize,
+    mut cell: impl FnMut(usize) -> T,
+) {
+    let Some(last) = rows.checked_sub(1) else { return };
+    let wide = stride + 1;
+    // the fill value is the last row's new cell, already in place
+    let tail = cell(last);
+    arr.resize(rows * wide, tail);
+    for r in (0..rows).rev() {
+        arr.copy_within(r * stride..(r + 1) * stride, r * wide);
+        if r != last {
+            arr[r * wide + stride] = cell(r);
+        }
+    }
+}
+
+/// Re-strides a `rows × stride` row-major matrix to `stride - 1` in
+/// place by swap-removing column `col` from every row: the last column
+/// moves into `col`'s slot, as `Vec::swap_remove` does. Rows move front
+/// to back, since each lands at or before where it started.
+pub(crate) fn narrow_rows<T: Copy>(arr: &mut Vec<T>, rows: usize, stride: usize, col: usize) {
+    let narrow = stride - 1;
+    for r in 0..rows {
+        let row = r * stride;
+        arr[row + col] = arr[row + narrow];
+        arr.copy_within(row..row + narrow, r * narrow);
+    }
+    arr.truncate(rows * narrow);
 }
 
 impl FlatInstance {

@@ -47,8 +47,9 @@ pub enum TravelCost {
 /// Construction goes through [`InstanceBuilder`], which validates the
 /// input and precomputes the directed event-event cost matrix (with
 /// infinities for spatio-temporally incompatible pairs) and the
-/// [`TemporalIndex`]. Instances are immutable afterwards, so the
-/// precomputed structures can never go stale.
+/// [`TemporalIndex`]. Only the `patch_*` methods change an instance
+/// afterwards, and they amend every precomputed structure with it, so
+/// none can go stale.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(from = "InstanceData", into = "InstanceData")]
 pub struct Instance {
@@ -135,8 +136,10 @@ impl Instance {
     /// [`FlatInstance`](crate::FlatInstance)): built on first call,
     /// cached, and shared — repeat calls, clones of the returned `Arc`,
     /// worker threads and serve-retry attempts all borrow the same
-    /// arrays. The instance is immutable after construction, so the
-    /// lowering can never go stale.
+    /// arrays. The `patch_*` methods amend the cached view alongside the
+    /// object arrays, so it never goes stale: in place when the instance
+    /// holds the only handle, copy-on-write while a returned handle is
+    /// still held, so a held handle keeps the view it was given.
     pub fn freeze(&self) -> std::sync::Arc<crate::flat::FlatInstance> {
         self.flat
             .get_or_init(|| std::sync::Arc::new(crate::flat::FlatInstance::build(self)))

@@ -1,31 +1,36 @@
 //! Incremental instance patching — the `usep-delta` substrate.
 //!
-//! An [`Instance`] is immutable by design so its derived structures
-//! (event-cost matrix, temporal index, frozen SoA arrays) can never go
-//! stale. The delta-solve engine needs the opposite: apply a typed
-//! mutation — event add/remove, capacity change, user arrive/depart, μ
-//! update — **without** paying the full `assemble()` recomputation
-//! (`O(|V|²)` pairwise costs) or a cold [`FlatInstance`](crate::FlatInstance) rebuild
-//! (`O(|U||V|)` leg derivations) per mutation.
+//! Outside this module an [`Instance`] never changes after
+//! construction, so its derived structures (event-cost matrix, temporal
+//! index, frozen SoA view) can never go stale. The delta-solve engine
+//! needs the opposite: apply a typed mutation — event add/remove,
+//! capacity change, user arrive/depart, μ update — **without** paying
+//! the full `assemble()` recomputation (`O(|V|²)` pairwise costs) or a
+//! cold [`FlatInstance`] rebuild (`O(|U||V|)` leg derivations) per
+//! mutation.
 //!
 //! The patch methods below mutate the object arrays in place and then
-//! *amend* each derived structure instead of rebuilding it:
+//! *amend* each derived structure in place instead of rebuilding it:
 //!
-//! * **Scalar patches** (`patch_set_capacity`, `patch_set_mu`) touch
-//!   one cell of one array; the cost matrices are untouched.
+//! * **Scalar patches** (`patch_set_capacity`, `patch_set_mu`) write
+//!   one cell of one array and one cell of the frozen view; the cost
+//!   matrices are untouched.
 //! * **Structural patches** append at the dense tail
 //!   (`patch_add_event`, `patch_add_user`) or swap-remove
 //!   (`patch_remove_event`, `patch_remove_user`), so existing dense
 //!   indices are stable except for the single moved entity, which the
 //!   caller remaps via the returned old index. Only the added entity's
-//!   row/column of each cost matrix is derived; everything else is a
-//!   strided memcpy.
-//! * The frozen [`FlatInstance`](crate::FlatInstance), if one exists,
-//!   is amended through the `amend_*` methods in `flat.rs` (same
-//!   memcpy-plus-derived-edge discipline) and re-installed, so warm
-//!   solvers keep a hot cache across mutations. Amended and cold-built
-//!   flats are `PartialEq`-identical by construction — the differential
-//!   suites assert it.
+//!   row/column of each cost matrix is derived. A user add appends one
+//!   row and a user removal swap-removes one; an event add or removal
+//!   re-strides every row in place (`widen_rows` / `narrow_rows` in
+//!   `flat.rs`, shared by the object arrays and the frozen view).
+//! * The frozen [`FlatInstance`], if one exists, is amended through the
+//!   `amend_*` methods in `flat.rs`, reached via `Arc::make_mut`: in
+//!   place when the instance holds the only handle (always the case
+//!   inside a delta engine), copy-on-write when a caller still holds a
+//!   handle from [`Instance::freeze`], so a held snapshot never changes.
+//!   Amended and cold-built views are `PartialEq`-identical by
+//!   construction — the differential suites assert it.
 //!
 //! Structural patches require [`TravelCost::Grid`]: explicit cost
 //! matrices carry no generative model to derive a new entity's legs
@@ -35,6 +40,7 @@
 use super::{Instance, TravelCost};
 use crate::cost::Cost;
 use crate::event::Event;
+use crate::flat::{narrow_rows, swap_remove_row, widen_rows, FlatInstance};
 use crate::geo::Point;
 use crate::ids::{EventId, UserId};
 use crate::temporal::TemporalIndex;
@@ -142,16 +148,20 @@ impl Instance {
         }
     }
 
-    /// Reinstalls an amended frozen view derived from `prev` (taken
-    /// before the object arrays were mutated).
-    fn reinstall_flat(&mut self, amended: Option<crate::flat::FlatInstance>) {
-        if let Some(flat) = amended {
-            let _ = self.flat.set(Arc::new(flat));
+    /// Applies `amend` to the cached frozen view, if one exists, after
+    /// the object arrays were patched: in place when this instance
+    /// holds the only handle, on a private copy (`Arc::make_mut`) when
+    /// a [`freeze`](Instance::freeze) handle is still held elsewhere, so
+    /// that handle keeps seeing the unpatched view.
+    fn amend_flat(&mut self, amend: impl FnOnce(&mut FlatInstance, &Instance)) {
+        if let Some(mut flat) = self.flat.take() {
+            amend(Arc::make_mut(&mut flat), self);
+            let _ = self.flat.set(flat);
         }
     }
 
-    /// Sets the capacity of event `v` in place. `O(1)` on the object
-    /// arrays plus one amended cell in the frozen view.
+    /// Sets the capacity of event `v` in place: one cell of the object
+    /// arrays and one of the frozen view.
     pub fn patch_set_capacity(&mut self, v: EventId, capacity: u32) -> Result<(), PatchError> {
         if v.index() >= self.events.len() {
             return Err(PatchError::UnknownEvent(v));
@@ -159,14 +169,13 @@ impl Instance {
         if capacity == 0 {
             return Err(PatchError::ZeroCapacity);
         }
-        let prev = self.flat.take();
         self.events[v.index()].capacity = capacity;
-        self.reinstall_flat(prev.map(|p| p.amend_capacity(v, capacity)));
+        self.amend_flat(|f, _| f.amend_capacity(v, capacity));
         Ok(())
     }
 
-    /// Sets `μ(v, u)` in place. `O(1)` plus one amended cell in the
-    /// frozen view.
+    /// Sets `μ(v, u)` in place: one cell of the object arrays and one
+    /// of the frozen view.
     pub fn patch_set_mu(&mut self, v: EventId, u: UserId, value: f64) -> Result<(), PatchError> {
         let nv = self.events.len();
         if v.index() >= nv {
@@ -179,9 +188,8 @@ impl Instance {
         if !val.is_finite() || !(0.0..=1.0).contains(&val) {
             return Err(PatchError::BadUtility(value));
         }
-        let prev = self.flat.take();
         self.mu[u.index() * nv + v.index()] = val;
-        self.reinstall_flat(prev.map(|p| p.amend_mu(v, u, val)));
+        self.amend_flat(|f, _| f.amend_mu(v, u, val));
         Ok(())
     }
 
@@ -210,16 +218,8 @@ impl Instance {
         }
         check_mu_values(mu_col)?;
 
-        let prev = self.flat.take();
         let old_nv = self.events.len();
-
-        // μ matrix: stride old_nv → old_nv + 1, one derived cell per row
-        let mut mu = Vec::with_capacity(nu * (old_nv + 1));
-        for (ui, &m) in mu_col.iter().enumerate() {
-            mu.extend_from_slice(&self.mu[ui * old_nv..(ui + 1) * old_nv]);
-            mu.push(m);
-        }
-        self.mu = mu;
+        widen_rows(&mut self.mu, nu, old_nv, |ui| mu_col[ui]);
         self.events.push(Event::new(capacity, location, time));
         if !self.fees.is_empty() {
             self.fees.push(fee);
@@ -229,27 +229,20 @@ impl Instance {
             self.fees = f;
         }
 
-        // event-cost matrix: strided copy plus one derived row + column
-        let nv = old_nv + 1;
-        let mut costs = Vec::with_capacity(nv * nv);
-        for i in 0..old_nv {
-            costs.extend_from_slice(&self.event_costs[i * old_nv..(i + 1) * old_nv]);
-            costs.push(grid_directed_cost(&self.events, time_per_unit, &self.fees, i, old_nv));
-        }
-        for j in 0..nv {
-            costs.push(grid_directed_cost(&self.events, time_per_unit, &self.fees, old_nv, j));
-        }
-        self.event_costs = costs;
+        // event-cost matrix: one derived column, then one derived row
+        let (events, fees) = (&self.events, &self.fees);
+        let cost = |i, j| grid_directed_cost(events, time_per_unit, fees, i, j);
+        widen_rows(&mut self.event_costs, old_nv, old_nv, |i| cost(i, old_nv));
+        self.event_costs.extend((0..=old_nv).map(|j| cost(old_nv, j)));
         self.temporal = TemporalIndex::build(&self.events);
 
         let v = EventId(old_nv as u32);
-        let amended = prev.map(|p| p.amend_add_event(self, v));
-        self.reinstall_flat(amended);
+        self.amend_flat(|f, inst| f.amend_add_event(inst, v));
         Ok(v)
     }
 
     /// Swap-removes event `v`: the last event moves into `v`'s dense
-    /// slot and every matrix is compacted by strided copy (no cost is
+    /// slot and every matrix is re-strided in place (no cost is
     /// recomputed). Returns the **old** dense id of the moved event so
     /// the caller can remap (`None` when `v` was last — a pure pop, the
     /// exact inverse of [`Instance::patch_add_event`]).
@@ -259,7 +252,6 @@ impl Instance {
             return Err(PatchError::UnknownEvent(v));
         }
         self.grid_time_per_unit()?;
-        let prev = self.flat.take();
         let last = nv - 1;
         self.events.swap_remove(v.index());
         if !self.fees.is_empty() {
@@ -271,29 +263,12 @@ impl Instance {
             }
         }
 
-        let old_col = |j: usize| if j == v.index() { last } else { j };
-        let nu = self.users.len();
-        let mut mu = Vec::with_capacity(nu * last);
-        for ui in 0..nu {
-            let row = &self.mu[ui * nv..(ui + 1) * nv];
-            for j in 0..last {
-                mu.push(row[old_col(j)]);
-            }
-        }
-        self.mu = mu;
-
-        let mut costs = Vec::with_capacity(last * last);
-        for i in 0..last {
-            let row = &self.event_costs[old_col(i) * nv..(old_col(i) + 1) * nv];
-            for j in 0..last {
-                costs.push(row[old_col(j)]);
-            }
-        }
-        self.event_costs = costs;
+        narrow_rows(&mut self.mu, self.users.len(), nv, v.index());
+        swap_remove_row(&mut self.event_costs, v.index(), last, nv);
+        narrow_rows(&mut self.event_costs, last, nv, v.index());
         self.temporal = TemporalIndex::build(&self.events);
 
-        let amended = prev.map(|p| p.amend_remove_event(v));
-        self.reinstall_flat(amended);
+        self.amend_flat(|f, _| f.amend_remove_event(v));
         Ok(if v.index() == last { None } else { Some(EventId(last as u32)) })
     }
 
@@ -316,12 +291,10 @@ impl Instance {
         }
         check_mu_values(mu_row)?;
 
-        let prev = self.flat.take();
         self.users.push(User::new(location, budget));
         self.mu.extend_from_slice(mu_row);
         let u = UserId(self.users.len() as u32 - 1);
-        let amended = prev.map(|p| p.amend_add_user(self, u));
-        self.reinstall_flat(amended);
+        self.amend_flat(|f, inst| f.amend_add_user(inst, u));
         Ok(u)
     }
 
@@ -335,16 +308,10 @@ impl Instance {
             return Err(PatchError::UnknownUser(u));
         }
         self.grid_time_per_unit()?;
-        let prev = self.flat.take();
-        let nv = self.events.len();
         let last = nu - 1;
         self.users.swap_remove(u.index());
-        if u.index() != last {
-            self.mu.copy_within(last * nv..(last + 1) * nv, u.index() * nv);
-        }
-        self.mu.truncate(last * nv);
-        let amended = prev.map(|p| p.amend_remove_user(u));
-        self.reinstall_flat(amended);
+        swap_remove_row(&mut self.mu, u.index(), last, self.events.len());
+        self.amend_flat(|f, _| f.amend_remove_user(u));
         Ok(if u.index() == last { None } else { Some(UserId(last as u32)) })
     }
 }
@@ -352,8 +319,9 @@ impl Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatInstance;
     use crate::instance::InstanceBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn iv(a: i64, b: i64) -> TimeInterval {
         TimeInterval::new(a, b).unwrap()
@@ -489,6 +457,176 @@ mod tests {
         let moved = inst.patch_remove_user(UserId(1)).unwrap();
         assert_eq!(moved, None);
         assert_matches_shadow(&inst);
+    }
+
+    /// A named patch.
+    type Patch = (&'static str, fn(&mut Instance));
+
+    /// One patch of each of the six kinds, for [`fixture`].
+    fn each_patch_kind() -> [Patch; 6] {
+        [
+            ("set_capacity", |i| i.patch_set_capacity(EventId(1), 7).unwrap()),
+            ("set_mu", |i| i.patch_set_mu(EventId(2), UserId(0), 0.42).unwrap()),
+            ("add_event", |i| {
+                let col = vec![0.6; i.num_users()];
+                i.patch_add_event(2, Point::new(3, 9), iv(22, 30), 5, &col).unwrap();
+            }),
+            ("remove_event", |i| {
+                assert_eq!(i.patch_remove_event(EventId(0)), Ok(Some(EventId(2))));
+            }),
+            ("add_user", |i| {
+                let row = vec![0.5; i.num_events()];
+                i.patch_add_user(Point::new(2, 7), Cost::new(60), &row).unwrap();
+            }),
+            ("remove_user", |i| {
+                assert_eq!(i.patch_remove_user(UserId(0)), Ok(Some(UserId(1))));
+            }),
+        ]
+    }
+
+    #[test]
+    fn every_patch_amends_an_unshared_view_in_place() {
+        for (kind, patch) in each_patch_kind() {
+            let mut inst = fixture();
+            let view = Arc::as_ptr(&inst.freeze()); // the handle drops here
+            patch(&mut inst);
+            assert_eq!(Arc::as_ptr(&inst.freeze()), view, "{kind}: the view was copied");
+            assert_eq!(*inst.freeze(), FlatInstance::build(&shadow(&inst)), "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_patch_copies_a_view_whose_handle_is_held() {
+        for (kind, patch) in each_patch_kind() {
+            let mut inst = fixture();
+            let held = inst.freeze();
+            let before = FlatInstance::build(&shadow(&inst));
+            patch(&mut inst);
+            assert_eq!(*held, before, "{kind}: a held handle saw the patch");
+            assert!(!Arc::ptr_eq(&held, &inst.freeze()), "{kind}");
+            assert_eq!(*inst.freeze(), FlatInstance::build(&shadow(&inst)), "{kind}");
+        }
+    }
+
+    /// Where a removal or an in-range scalar patch lands: the first,
+    /// a middle or the last index, or anywhere.
+    fn pick(rng: &mut StdRng, n: usize) -> usize {
+        match rng.gen_range(0..4u32) {
+            0 => 0,
+            1 => n / 2,
+            2 => n - 1,
+            _ => rng.gen_range(0..n),
+        }
+    }
+
+    /// μ as one `Vec` per user, patched with `Vec`'s own `push` and
+    /// `swap_remove`. The shadow build copies the object μ matrix, so
+    /// it cannot catch a re-stride that scrambles μ; this model can.
+    type MuModel = Vec<Vec<f32>>;
+
+    /// One seeded patch on a grid instance, mirrored on `model`.
+    /// Removals keep at least one event and one user.
+    fn random_patch(inst: &mut Instance, model: &mut MuModel, rng: &mut StdRng, add_bias: f64) {
+        let (nv, nu) = (inst.num_events(), inst.num_users());
+        let point = |rng: &mut StdRng| Point::new(rng.gen_range(0..40i32), rng.gen_range(0..40i32));
+        match rng.gen_range(0..6u32) {
+            0 => {
+                let v = EventId(pick(rng, nv) as u32);
+                inst.patch_set_capacity(v, rng.gen_range(1..9u32)).unwrap();
+            }
+            1 => {
+                let (v, u) = (pick(rng, nv), pick(rng, nu));
+                let mu = rng.gen_range(0.0..1.0);
+                inst.patch_set_mu(EventId(v as u32), UserId(u as u32), mu).unwrap();
+                model[u][v] = mu as f32;
+            }
+            2 | 3 if nv == 1 || rng.gen_bool(add_bias) => {
+                let t = rng.gen_range(0..200i64);
+                let col: Vec<f32> = (0..nu).map(|_| rng.gen_range(0.0..1.0) as f32).collect();
+                let fee = if rng.gen_bool(0.3) { rng.gen_range(1..6u32) } else { 0 };
+                let cap = rng.gen_range(1..9u32);
+                let at = point(rng);
+                let len = rng.gen_range(1..30i64);
+                inst.patch_add_event(cap, at, iv(t, t + len), fee, &col).unwrap();
+                model.iter_mut().zip(&col).for_each(|(row, &m)| row.push(m));
+            }
+            2 | 3 => remove_event(inst, model, pick(rng, nv)),
+            _ if nu == 1 || rng.gen_bool(add_bias) => {
+                let row: Vec<f32> = (0..nv).map(|_| rng.gen_range(0.0..1.0) as f32).collect();
+                let at = point(rng);
+                inst.patch_add_user(at, Cost::new(rng.gen_range(10..200u32)), &row).unwrap();
+                model.push(row);
+            }
+            _ => remove_user(inst, model, pick(rng, nu)),
+        }
+    }
+
+    fn remove_event(inst: &mut Instance, model: &mut MuModel, v: usize) {
+        inst.patch_remove_event(EventId(v as u32)).unwrap();
+        for row in model.iter_mut() {
+            row.swap_remove(v);
+        }
+    }
+
+    fn remove_user(inst: &mut Instance, model: &mut MuModel, u: usize) {
+        inst.patch_remove_user(UserId(u as u32)).unwrap();
+        model.swap_remove(u);
+    }
+
+    /// Applies `patch` and compares the result with a cold build and
+    /// with `model`. Every third step holds a frozen handle across the
+    /// patch (copy-on-write, and the handle must keep the old view);
+    /// the rest amend in place.
+    fn checked_step(
+        inst: &mut Instance,
+        model: &mut MuModel,
+        step: usize,
+        patch: impl FnOnce(&mut Instance, &mut MuModel),
+    ) {
+        let held =
+            step.is_multiple_of(3).then(|| (inst.freeze(), FlatInstance::build(&shadow(inst))));
+        patch(inst, model);
+        if let Some((held, before)) = held {
+            assert_eq!(*held, before, "step {step}: a held handle saw the patch");
+        }
+        assert_matches_shadow(inst);
+        let rows: Vec<&[f32]> = inst.user_ids().map(|u| inst.mu_row(u)).collect();
+        assert_eq!(rows, *model, "step {step}: μ diverged from the model");
+    }
+
+    #[test]
+    fn seeded_patch_streams_match_a_cold_build_after_every_step() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut inst = fixture();
+        // temporal reachability, so not every ordered vv cell is finite
+        inst.travel = TravelCost::Grid { time_per_unit: 1 };
+        inst = shadow(&inst);
+        let mut model: MuModel = inst.user_ids().map(|u| inst.mu_row(u).to_vec()).collect();
+        // grow past 64 events (two conflict words), then mix
+        let mut widest = 0;
+        let mut step = 0;
+        for (steps, add_bias) in [(240, 0.95), (200, 0.5)] {
+            for _ in 0..steps {
+                checked_step(&mut inst, &mut model, step, |i, m| {
+                    random_patch(i, m, &mut rng, add_bias);
+                });
+                widest = widest.max(inst.num_events());
+                step += 1;
+            }
+        }
+        assert!(widest > 64, "the stream never needed a second conflict word");
+        // then remove down to one event and one user
+        while inst.num_events() > 1 || inst.num_users() > 1 {
+            let (nv, nu) = (inst.num_events(), inst.num_users());
+            if nu == 1 || (nv > 1 && rng.gen_bool(0.5)) {
+                let v = pick(&mut rng, nv);
+                checked_step(&mut inst, &mut model, step, |i, m| remove_event(i, m, v));
+            } else {
+                let u = pick(&mut rng, nu);
+                checked_step(&mut inst, &mut model, step, |i, m| remove_user(i, m, u));
+            }
+            step += 1;
+        }
     }
 
     #[test]

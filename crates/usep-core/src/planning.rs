@@ -8,8 +8,9 @@ use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 
 /// A planning `A = ∪_u {S_u}`: one (possibly empty) schedule per user,
-/// plus per-event load counters for O(1) capacity checks.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// plus per-event load counters for O(1) capacity checks. The default
+/// is the planning of an instance with no users and no events.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Planning {
     schedules: Vec<Schedule>,
     load: Vec<u32>,
@@ -49,6 +50,12 @@ impl Planning {
     #[inline]
     pub fn schedules(&self) -> &[Schedule] {
         &self.schedules
+    }
+
+    /// The schedules by value, for a caller that re-keys a planning
+    /// through [`Planning::from_schedules`] without cloning them.
+    pub fn into_schedules(self) -> Vec<Schedule> {
+        self.schedules
     }
 
     /// Number of users currently attending event `v`.

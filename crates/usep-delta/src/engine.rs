@@ -6,10 +6,10 @@
 //! per-assignment recency stamps. Each [`Mutation`] is applied in three
 //! steps:
 //!
-//! 1. **Patch** — the instance is mutated through the `patch_*` methods
-//!    of `usep-core` (strided memcpy + derived edges, never a full
-//!    rebuild) and the planning's assignment vectors are remapped to
-//!    the post-patch dense ids.
+//! 1. **Patch** — the instance and its frozen view are amended in place
+//!    through the `patch_*` methods of `usep-core` (derived edges only,
+//!    never a rebuild or a copy of the view) and the planning's
+//!    schedules are moved, remapped to the post-patch dense ids.
 //! 2. **Release** — assignments the mutation invalidates are unassigned
 //!    deterministically: cancelled events release every attendee,
 //!    capacity shrinks evict in LIFO stamp order, departures release
@@ -323,8 +323,7 @@ impl DeltaEngine {
                 self.event_stable.push(stable);
                 self.event_dense.insert(stable, v);
                 // re-key the planning so its load vector covers the new event
-                self.planning =
-                    Planning::from_schedules(&self.inst, self.planning.schedules().to_vec());
+                self.rekey_planning(|_| {});
                 dirty_events.push(v);
                 touched = 1;
             }
@@ -335,23 +334,21 @@ impl DeltaEngine {
                 let moved = self.inst.patch_remove_event(v)?;
                 self.event_dense.remove(event);
                 self.event_stable.swap_remove(v.index());
-                let mut schedules = self.planning.schedules().to_vec();
-                if let Some(old_dense) = moved {
+                if moved.is_some() {
                     // the old tail event moved into v's dense slot
-                    let moved_stable = self.event_stable[v.index()];
-                    self.event_dense.insert(moved_stable, v);
-                    for s in &mut schedules {
-                        if s.contains(old_dense) {
-                            let remapped = s
-                                .events()
-                                .iter()
-                                .map(|&e| if e == old_dense { v } else { e })
-                                .collect();
-                            *s = Schedule::from_events_unchecked(remapped);
-                        }
-                    }
+                    self.event_dense.insert(self.event_stable[v.index()], v);
                 }
-                self.planning = Planning::from_schedules(&self.inst, schedules);
+                self.rekey_planning(|schedules| {
+                    let Some(old_dense) = moved else { return };
+                    for s in schedules.iter_mut().filter(|s| s.contains(old_dense)) {
+                        let remapped = s
+                            .events()
+                            .iter()
+                            .map(|&e| if e == old_dense { v } else { e })
+                            .collect();
+                        *s = Schedule::from_events_unchecked(remapped);
+                    }
+                });
                 touched = 1 + evicted;
             }
             Mutation::CapacityChange { event, capacity } => {
@@ -371,9 +368,7 @@ impl DeltaEngine {
                 self.next_user_id += 1;
                 self.user_stable.push(stable);
                 self.user_dense.insert(stable, u);
-                let mut schedules = self.planning.schedules().to_vec();
-                schedules.push(Schedule::new());
-                self.planning = Planning::from_schedules(&self.inst, schedules);
+                self.rekey_planning(|schedules| schedules.push(Schedule::new()));
                 // displacement potential: utility this arrival could
                 // only unlock by swapping out a weaker incumbent of a
                 // full event — a move the augmentation pass never
@@ -402,9 +397,9 @@ impl DeltaEngine {
                 if moved.is_some() {
                     self.user_dense.insert(self.user_stable[u.index()], u);
                 }
-                let mut schedules = self.planning.schedules().to_vec();
-                schedules.swap_remove(u.index());
-                self.planning = Planning::from_schedules(&self.inst, schedules);
+                self.rekey_planning(|schedules| {
+                    schedules.swap_remove(u.index());
+                });
                 touched = 1 + evicted;
             }
             Mutation::MuUpdate { event, user, mu } => {
@@ -553,6 +548,15 @@ impl DeltaEngine {
                 Ok(())
             }
         }
+    }
+
+    /// Re-keys the planning to the patched instance: `edit` adjusts the
+    /// schedules, which move out of the planning and back instead of
+    /// being cloned, and the load vector is recounted.
+    fn rekey_planning(&mut self, edit: impl FnOnce(&mut Vec<Schedule>)) {
+        let mut schedules = std::mem::take(&mut self.planning).into_schedules();
+        edit(&mut schedules);
+        self.planning = Planning::from_schedules(&self.inst, schedules);
     }
 
     /// Sparse stable-id entries → dense μ column (one entry per user).

@@ -152,6 +152,9 @@ impl Router {
 }
 
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
+    // replies leave as soon as they are written, not after the client's
+    // delayed ACK of the previous segment
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
@@ -166,8 +169,10 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
             continue;
         }
         let response = handle_line(inner, line.trim_end());
-        let Ok(json) = serde_json::to_string(&response) else { return };
-        if writeln!(writer, "{json}").and_then(|()| writer.flush()).is_err() {
+        let Ok(mut json) = serde_json::to_string(&response) else { return };
+        // the line and its newline in one send
+        json.push('\n');
+        if writer.write_all(json.as_bytes()).and_then(|()| writer.flush()).is_err() {
             return;
         }
     }
