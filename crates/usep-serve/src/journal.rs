@@ -23,7 +23,10 @@
 //!   (fsynced *before* the engine applies them, deduplicated on the
 //!   client's mutation id), and its close. A resumed server rebuilds
 //!   each open session's warm state by re-running the cold solve and
-//!   re-applying the journaled mutations in order.
+//!   re-applying the journaled mutations in order. The server journals
+//!   an open's instance as the mutate line's `open` bytes as received
+//!   ([`Journal::append_delta_open`]), framed byte-identically to the
+//!   decoded record when the line is in the server's own encoding.
 //!
 //! **Frame format.** Each line is
 //! `{"len":N,"crc":"xxxxxxxx","rec":<record>}` where `N` is the byte
@@ -130,7 +133,13 @@ const FRAME_PREFIX: &str = "{\"len\":";
 /// What `JournalRecord::Accepted { request }` serializes to around the
 /// request's own JSON.
 const ACCEPTED_OPEN: &[u8] = b"{\"Accepted\":{\"request\":";
-const ACCEPTED_CLOSE: &[u8] = b"}}";
+const RECORD_CLOSE: &[u8] = b"}}";
+
+/// What `JournalRecord::DeltaOpen { .. }` serializes to around the JSON
+/// of its three fields.
+const DELTA_OPEN_SESSION: &[u8] = b"{\"DeltaOpen\":{\"session\":";
+const DELTA_OPEN_INSTANCE: &[u8] = b",\"instance\":";
+const DELTA_OPEN_THRESHOLD: &[u8] = b",\"fallback_threshold\":";
 
 /// Wraps one serialized record, given as byte pieces in order, in the
 /// length+CRC frame (newline included — one frame is one line). The
@@ -149,9 +158,9 @@ fn frame_line(rec: &[&[u8]]) -> Vec<u8> {
     line
 }
 
-/// One record's JSON.
-fn encode(record: &JournalRecord) -> io::Result<String> {
-    serde_json::to_string(record)
+/// One value's JSON.
+fn json<T: Serialize + ?Sized>(value: &T) -> io::Result<String> {
+    serde_json::to_string(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -224,7 +233,7 @@ impl Journal {
 
     /// Appends one framed record and fsyncs.
     pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
-        self.append_frame(&frame_line(&[encode(record)?.as_bytes()]))
+        self.append_frame(&frame_line(&[json(record)?.as_bytes()]))
     }
 
     /// Appends the `Accepted` record of a request line exactly as it
@@ -237,7 +246,32 @@ impl Journal {
     pub fn append_accepted(&self, received_line: &str) -> io::Result<()> {
         let line = received_line.strip_suffix('\n').unwrap_or(received_line);
         let line = line.strip_suffix('\r').unwrap_or(line);
-        self.append_frame(&frame_line(&[ACCEPTED_OPEN, line.as_bytes(), ACCEPTED_CLOSE]))
+        self.append_frame(&frame_line(&[ACCEPTED_OPEN, line.as_bytes(), RECORD_CLOSE]))
+    }
+
+    /// Appends the `DeltaOpen` record of a session whose instance is
+    /// `received_instance`, the bytes of a mutate line's `open` value as
+    /// received, and fsyncs. The caller must have decoded those bytes to
+    /// the instance it opens; replay decodes the same bytes to the same
+    /// instance. An instance in the server's own encoding frames
+    /// byte-identically to `append(&JournalRecord::DeltaOpen { .. })`.
+    pub fn append_delta_open(
+        &self,
+        session: &str,
+        received_instance: &str,
+        fallback_threshold: f64,
+    ) -> io::Result<()> {
+        let session = json(session)?;
+        let threshold = json(&fallback_threshold)?;
+        self.append_frame(&frame_line(&[
+            DELTA_OPEN_SESSION,
+            session.as_bytes(),
+            DELTA_OPEN_INSTANCE,
+            received_instance.as_bytes(),
+            DELTA_OPEN_THRESHOLD,
+            threshold.as_bytes(),
+            RECORD_CLOSE,
+        ]))
     }
 
     fn append_frame(&self, frame: &[u8]) -> io::Result<()> {
@@ -255,7 +289,7 @@ impl Journal {
     pub fn compact(&self, state: &JournalState) -> io::Result<()> {
         let mut buf = Vec::new();
         let mut push = |record: &JournalRecord| -> io::Result<()> {
-            buf.extend_from_slice(&frame_line(&[encode(record)?.as_bytes()]));
+            buf.extend_from_slice(&frame_line(&[json(record)?.as_bytes()]));
             Ok(())
         };
         push(&JournalRecord::Header {
@@ -479,7 +513,9 @@ impl JournalState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Status;
+    use crate::protocol::{MutateRequest, Status};
+    use crate::server::{parse_line, Line};
+    use serde::Content;
     use usep_core::{Cost, EventId, InstanceBuilder, Point, TimeInterval, UserId};
 
     fn request(id: &str) -> SolveRequest {
@@ -673,6 +709,265 @@ mod tests {
             assert_eq!(state.pending[0].id, "b");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A mutate line opening `instance` under `session`, in the
+    /// server's own encoding.
+    fn open_line(session: &str, instance: Arc<Instance>) -> String {
+        let request = MutateRequest {
+            verb: "mutate".to_string(),
+            session: session.to_string(),
+            open: Some(instance),
+            fallback_threshold: Some(0.3),
+            mutation_id: None,
+            mutation: None,
+            query: false,
+            close: false,
+        };
+        format!("{}\n", serde_json::to_string(&request).unwrap())
+    }
+
+    /// What the server decodes an open line to: the request and the
+    /// received bytes of its `open` member.
+    fn parse_open(line: &str) -> (MutateRequest, &str) {
+        match parse_line(line) {
+            Line::Mutate(Ok(request), Some(received)) => (request, received),
+            _ => panic!("not an open line: {line}"),
+        }
+    }
+
+    /// A session open in the server's own encoding: the received-bytes
+    /// record must equal, byte for byte, the record of the instance
+    /// decoded from that line.
+    #[test]
+    fn a_canonical_open_line_frames_like_its_decoded_record() {
+        let dir = tempdir("canonical_open");
+        let instance = usep_gen::generate_city(&usep_gen::CityConfig::auckland(), 7);
+        let line = open_line("auckland-7", Arc::new(instance));
+        let (request, received) = parse_open(&line);
+        let (re_encoded, spliced) = (dir.join("re-encoded.jsonl"), dir.join("spliced.jsonl"));
+        Journal::open(&re_encoded)
+            .unwrap()
+            .append(&JournalRecord::DeltaOpen {
+                session: request.session.clone(),
+                instance: request.open.clone().unwrap(),
+                fallback_threshold: 0.3,
+            })
+            .unwrap();
+        Journal::open(&spliced)
+            .unwrap()
+            .append_delta_open(&request.session, received, 0.3)
+            .unwrap();
+        let bytes = std::fs::read(&spliced).unwrap();
+        assert!(bytes.len() > 100_000, "an Auckland instance is hundreds of KB");
+        assert!(bytes == std::fs::read(&re_encoded).unwrap(), "frames differ");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An open line whose bytes a re-encode would change: members out of
+    /// order, spaces inside and around the instance, escapes in the
+    /// session name, and a second `open` member that a decode ignores.
+    fn non_canonical_open_line(session_json: &str) -> String {
+        let instance = serde_json::to_string_pretty(&*request("x").instance).unwrap();
+        let ignored = serde_json::to_string(&*awkward_instance()).unwrap();
+        format!(
+            "{{ \"open\" : {} , \"fallback_threshold\": 0.25,\"session\" : {session_json}, \
+             \"verb\":\"mutate\", \"open\":{ignored} }}\r\n",
+            instance.replace('\n', " ")
+        )
+    }
+
+    #[test]
+    fn a_non_canonical_open_line_replays_to_the_instance_the_server_opened() {
+        let dir = tempdir("received_open");
+        let path = dir.join("wal.jsonl");
+        let line = non_canonical_open_line(r#""s\"\u00e9-1""#);
+        let (decoded, received) = parse_open(&line);
+        assert_eq!(decoded.session, "s\"\u{e9}-1");
+        let opened = decoded.open.unwrap();
+        assert_eq!(opened, request("x").instance, "the first `open` member decodes");
+        Journal::open(&path).unwrap().append_delta_open(&decoded.session, received, 0.25).unwrap();
+
+        let raw = std::fs::read_to_string(&path).unwrap();
+        assert_ne!(received, serde_json::to_string(&*opened).unwrap(), "spaced out");
+        assert!(raw.contains(received), "the record holds the bytes received");
+        let state = JournalState::replay(&path).unwrap();
+        assert_eq!((state.quarantined, state.torn_tail), (0, false));
+        let session = &state.delta_sessions["s\"\u{e9}-1"];
+        assert_eq!(session.instance, opened);
+        assert_eq!(session.fallback_threshold, 0.25);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_bit_in_a_spliced_open_is_quarantined() {
+        let dir = tempdir("open_rot");
+        let path = dir.join("wal.jsonl");
+        let journal = Journal::open(&path).unwrap();
+        for name in ["a", "b"] {
+            let line = non_canonical_open_line(&format!("\"{name}\""));
+            let (request, received) = parse_open(&line);
+            journal.append_delta_open(&request.session, received, 0.25).unwrap();
+        }
+        let raw = std::fs::read(&path).unwrap();
+        // the first open's record: every piece `append_delta_open` spliced
+        let start = raw.windows(12).position(|w| w == b"{\"DeltaOpen\"").expect("a record");
+        let end = start + raw[start..].iter().position(|&b| b == b'\n').expect("a frame") - 1;
+        for pos in start..end {
+            let mut rotted = raw.clone();
+            rotted[pos] ^= 0x01;
+            let state = JournalState::replay_bytes(&rotted);
+            assert_eq!(state.quarantined, 1, "flip at byte {pos} undetected");
+            let sessions: Vec<&str> = state.delta_sessions.keys().map(String::as_str).collect();
+            assert_eq!(sessions, ["b"], "only the rotted record is lost");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A solve line and an open line nested `levels` deep: the line is
+    /// level 1, its instance level 2, and an unknown member of the
+    /// instance holds the rest.
+    fn nested_lines(levels: usize) -> (String, String) {
+        let junk = format!("{}0{}", "[".repeat(levels - 2), "]".repeat(levels - 2));
+        let instance = serde_json::to_string(&*request("x").instance).unwrap();
+        let open = format!("{{\"junk\":{junk},{}", &instance[1..]);
+        (
+            format!("{{\"id\":\"deep\",\"instance\":{open}}}"),
+            format!("{{\"verb\":\"mutate\",\"session\":\"deep\",\"open\":{open}}}"),
+        )
+    }
+
+    /// The journal nests a line one or two levels deeper than it was
+    /// received, so the server answers lines only to a depth whose
+    /// records replay can still parse.
+    #[test]
+    fn a_line_nested_to_the_limit_leaves_records_replay_parses() {
+        let dir = tempdir("deep");
+        let path = dir.join("wal.jsonl");
+        let journal = Journal::open(&path).unwrap();
+        let (solve, open) = nested_lines(crate::server::LINE_DEPTH_LIMIT);
+        assert!(matches!(parse_line(&solve), Line::Solve(Ok(_))));
+        journal.append_accepted(&solve).unwrap();
+        let (request, received) = parse_open(&open);
+        journal.append_delta_open(&request.session, received, 0.3).unwrap();
+        let state = JournalState::replay(&path).unwrap();
+        assert_eq!((state.quarantined, state.torn_tail), (0, false));
+        assert_eq!((state.pending.len(), state.delta_sessions.len()), (1, 1));
+
+        let (solve, open) = nested_lines(crate::server::LINE_DEPTH_LIMIT + 1);
+        for line in [solve, open] {
+            match parse_line(&line) {
+                Line::Solve(Err(e)) => assert!(e.contains("recursion limit exceeded"), "{e}"),
+                _ => panic!("a line past the limit must be a parse error"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An instance whose μ holds the values hardest to print in f32
+    /// digits: one whose short digits double-round, the smallest
+    /// subnormal, and ordinary fractions.
+    fn awkward_instance() -> Arc<Instance> {
+        let mut b = InstanceBuilder::new();
+        let events: Vec<EventId> = (0..3i64)
+            .map(|k| {
+                b.event(2, Point::new(k as i32, 0), TimeInterval::new(10 * k, 10 * k + 5).unwrap())
+            })
+            .collect();
+        let users: Vec<UserId> = (0..2).map(|_| b.user(Point::new(0, 1), Cost::new(100))).collect();
+        let mu = [0.9, f32::from_bits(0x15ae_43fd), f32::from_bits(1), 0.188_982_23, 1.0, 0.0];
+        for (k, &x) in mu.iter().enumerate() {
+            b.utility(events[k % 3], users[k / 3], f64::from(x));
+        }
+        Arc::new(b.build().unwrap())
+    }
+
+    /// `record` as journals written before f32 digits hold it: every f32
+    /// in the digits of its `f64` widening.
+    fn f64_digits(record: &JournalRecord) -> String {
+        fn widen(c: Content) -> Content {
+            match c {
+                Content::F32(x) => Content::F64(f64::from(x)),
+                Content::Seq(items) => Content::Seq(items.into_iter().map(widen).collect()),
+                Content::Map(entries) => {
+                    Content::Map(entries.into_iter().map(|(k, v)| (k, widen(v))).collect())
+                }
+                other => other,
+            }
+        }
+        serde_json::to_string(&widen(record.to_content())).unwrap()
+    }
+
+    fn mu_bits(instance: &Instance) -> Vec<u32> {
+        instance.user_ids().flat_map(|u| instance.mu_row(u).iter().map(|x| x.to_bits())).collect()
+    }
+
+    #[test]
+    fn a_journal_in_f64_digits_replays_to_the_same_state_bit_for_bit() {
+        let city = Arc::new(usep_gen::generate_city(&usep_gen::CityConfig::auckland(), 7));
+        let awkward = awkward_instance();
+        let records = [
+            JournalRecord::Header { generation: 1, shard_id: None },
+            JournalRecord::Accepted {
+                request: SolveRequest { instance: Arc::clone(&city), ..request("a") },
+            },
+            JournalRecord::DeltaOpen {
+                session: "s".to_string(),
+                instance: Arc::clone(&awkward),
+                fallback_threshold: 0.3,
+            },
+            JournalRecord::DeltaMutate {
+                session: "s".to_string(),
+                mutation_id: "m1".to_string(),
+                mutation: Mutation::MuUpdate { event: 1, user: 0, mu: f32::from_bits(0x15ae_43fd) },
+            },
+            JournalRecord::DeltaMutate {
+                session: "s".to_string(),
+                mutation_id: "m2".to_string(),
+                mutation: Mutation::UserArrive {
+                    location: usep_core::Point::new(1, 1),
+                    budget: 50,
+                    mu: [0.9, f32::from_bits(1), 0.188_982_23]
+                        .iter()
+                        .enumerate()
+                        .map(|(id, &mu)| usep_delta::MuEntry { id: id as u32, mu })
+                        .collect(),
+                },
+            },
+        ];
+        let mut legacy = Vec::new();
+        let mut current = Vec::new();
+        for record in &records {
+            legacy.extend(frame_line(&[f64_digits(record).as_bytes()]));
+            current.extend(frame_line(&[json(record).unwrap().as_bytes()]));
+        }
+        assert!(legacy.len() > current.len() * 3 / 2, "f64 digits are longer");
+        let (old, new) =
+            (JournalState::replay_bytes(&legacy), JournalState::replay_bytes(&current));
+        assert_eq!((old.quarantined, old.torn_tail), (0, false));
+        assert_eq!(old.pending.len(), 1);
+        assert_eq!(mu_bits(&old.pending[0].instance), mu_bits(&city));
+        assert_eq!(mu_bits(&new.pending[0].instance), mu_bits(&city));
+        let (old, new) = (&old.delta_sessions["s"], &new.delta_sessions["s"]);
+        assert_eq!(mu_bits(&old.instance), mu_bits(&awkward));
+        assert_eq!(mu_bits(&new.instance), mu_bits(&awkward));
+        assert!(old.instance == awkward && new.instance == awkward);
+        let entry_bits = |mutations: &[(String, Mutation)]| -> Vec<u32> {
+            mutations
+                .iter()
+                .flat_map(|(_, m)| match m {
+                    Mutation::MuUpdate { mu, .. } => vec![mu.to_bits()],
+                    Mutation::UserArrive { mu, .. } => mu.iter().map(|e| e.mu.to_bits()).collect(),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(
+            entry_bits(&old.mutations),
+            [0x15ae_43fd, 0.9f32.to_bits(), 1, 0.188_982_23f32.to_bits()]
+        );
+        assert_eq!(entry_bits(&old.mutations), entry_bits(&new.mutations));
+        assert_eq!(old.mutations, new.mutations);
     }
 
     #[test]

@@ -524,37 +524,43 @@ fn prepare_connection(stream: &TcpStream) {
 
 /// One request line, parsed once and sorted by what it asks for. `Err`
 /// holds the parse rejection's text.
-enum Line {
-    /// A `mutate` control line: one delta-session operation.
-    Mutate(Result<MutateRequest, String>),
+pub(crate) enum Line<'a> {
+    /// A `mutate` control line: one delta-session operation, with the
+    /// received bytes of its `open` member when it has one.
+    Mutate(Result<MutateRequest, String>, Option<&'a str>),
     /// Any other control line.
     Control(ControlRequest),
     /// Everything that is not a control line.
     Solve(Result<SolveRequest, String>),
 }
 
+/// How deeply a request line may nest. The journal holds a line, or a
+/// line's `open` value, one or two levels deeper than the line
+/// (`{"Accepted":{"request":…}}`, `{"DeltaOpen":{…,"instance":…}}`), so
+/// every line the server answers leaves a record that replay can parse.
+pub(crate) const LINE_DEPTH_LIMIT: usize = serde_json::RECURSION_LIMIT - 2;
+
 /// Parses `line` into one JSON tree and decodes the request from that
 /// tree. A control line is a JSON object whose first `verb` key holds a
 /// string — exactly the lines [`ControlRequest`] decodes; solve requests
 /// never carry one.
-fn parse_line(line: &str) -> Line {
-    let tree = match serde_json::from_str::<Content>(line) {
-        Ok(tree) => tree,
+pub(crate) fn parse_line(line: &str) -> Line<'_> {
+    let (tree, spans) = match serde_json::from_str_spanned(line, LINE_DEPTH_LIMIT) {
+        Ok(parsed) => parsed,
         Err(e) => return Line::Solve(Err(format!("parse: {e}"))),
     };
-    let verb = match &tree {
-        Content::Map(entries) => match entries.iter().find(|(key, _)| key == "verb") {
-            Some((_, Content::Str(verb))) => Some(verb.clone()),
-            _ => None,
-        },
-        _ => None,
+    let Content::Map(entries) = &tree else {
+        return Line::Solve(SolveRequest::from_content(tree).map_err(|e| format!("parse: {e}")));
     };
-    match verb {
-        Some(verb) if verb == "mutate" => {
-            Line::Mutate(MutateRequest::from_content(tree).map_err(|e| format!("parse: {e}")))
+    // the first of a duplicated key is the one a decode takes
+    let member = |key: &str| entries.iter().position(|(k, _)| k == key);
+    match member("verb").map(|i| &entries[i].1) {
+        Some(Content::Str(verb)) if verb == "mutate" => {
+            let open = member("open").map(|i| &line[spans[i].clone()]);
+            Line::Mutate(MutateRequest::from_content(tree).map_err(|e| format!("parse: {e}")), open)
         }
-        Some(verb) => Line::Control(ControlRequest { verb }),
-        None => Line::Solve(SolveRequest::from_content(tree).map_err(|e| format!("parse: {e}"))),
+        Some(Content::Str(verb)) => Line::Control(ControlRequest { verb: verb.clone() }),
+        _ => Line::Solve(SolveRequest::from_content(tree).map_err(|e| format!("parse: {e}"))),
     }
 }
 
@@ -634,9 +640,9 @@ fn handle_connection(
         // Control plane: verb lines are answered here, never queued.
         let parsed = match parse_line(&line) {
             Line::Solve(parsed) => parsed,
-            Line::Mutate(req) => {
+            Line::Mutate(req, received_open) => {
                 let response = match req {
-                    Ok(req) => handle_mutate(inner, req),
+                    Ok(req) => handle_mutate(inner, req, received_open),
                     Err(error) => MutateResponse::rejected("", error),
                 };
                 let reply = serde_json::to_string(&response).unwrap_or_default();
@@ -842,8 +848,10 @@ fn apply_session_mutation(
 /// Serves one `{"verb":"mutate"}` line: journal first, engine second,
 /// exactly-once on the client's mutation id. Open and close are
 /// idempotent; a duplicate mutation id answers its cached outcome
-/// verbatim without touching the engine.
-fn handle_mutate(inner: &Inner, req: MutateRequest) -> MutateResponse {
+/// verbatim without touching the engine. `received_open` is the line's
+/// `open` member as received, which an open journals instead of
+/// encoding the instance it decoded to again.
+fn handle_mutate(inner: &Inner, req: MutateRequest, received_open: Option<&str>) -> MutateResponse {
     let obs = &inner.obs;
     let mut sessions = inner.delta.lock().unwrap_or_else(|p| p.into_inner());
 
@@ -864,11 +872,12 @@ fn handle_mutate(inner: &Inner, req: MutateRequest) -> MutateResponse {
         }
         let threshold =
             req.fallback_threshold.unwrap_or(DeltaConfig::default().fallback_threshold);
-        if let Err(e) = inner.journal_append(&JournalRecord::DeltaOpen {
-            session: req.session.clone(),
-            instance: Arc::clone(instance),
-            fallback_threshold: threshold,
-        }) {
+        let received = received_open.expect("a decoded `open` member has received bytes");
+        let opened = inner
+            .journal
+            .as_ref()
+            .map_or(Ok(()), |j| j.append_delta_open(&req.session, received, threshold));
+        if let Err(e) = opened {
             inner.sink.count(Counter::ServeJournalFail, 1);
             obs.failed_journal.fetch_add(1, Ordering::Relaxed);
             obs.recorder.record("journal_fail", None, format!("delta open append: {e}"));

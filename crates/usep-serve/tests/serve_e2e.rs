@@ -114,6 +114,30 @@ fn malformed_unknown_and_invalid_requests_are_rejected_not_fatal() {
     server.wait();
 }
 
+/// The parser recurses once per nesting level on the connection's
+/// thread: a line of 100 000 `[` once overflowed its stack and aborted
+/// the whole server.
+#[test]
+fn a_line_nested_past_the_limit_is_rejected_and_the_server_keeps_serving() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    writeln!(stream, "{}", "[".repeat(100_000)).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match serde_json::from_str::<SolveResponse>(reply.trim_end()).unwrap().status {
+        Status::Rejected { error } => {
+            assert_eq!(error, "parse: recursion limit exceeded at byte 126")
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let ok = send_request(server.addr(), &request("after-deep", 9), CLIENT_TIMEOUT).unwrap();
+    assert_eq!(ok.status, Status::Complete);
+    server.shutdown();
+    server.wait();
+}
+
 /// The journal holds a request line as received. A line whose bytes a
 /// re-encode would change (keys out of order, spaces, an unknown field,
 /// escapes, a CRLF ending) must still replay as owed while its solve is
