@@ -87,9 +87,9 @@ impl PseudoLayout {
         self.total
     }
 
-    /// Bytes the literal `μ^r` matrix of [`DeDP`] would occupy for `nu`
-    /// users — the quantity orchestrators pre-estimate against a memory
-    /// ceiling before attempting DeDP at all.
+    /// Bytes the literal `μ^r` matrix of [`DeDP`] occupies for `nu`
+    /// users — what DeDP reserves against its guard's memory ceiling
+    /// before it allocates the matrix.
     #[inline]
     pub fn mu_matrix_bytes(&self, nu: usize) -> usize {
         self.total

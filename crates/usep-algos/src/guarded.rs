@@ -3,18 +3,16 @@
 //! [`GuardedSolver`] wraps a requested [`Algorithm`] and a
 //! [`SolveBudget`] and manages the whole solve lifecycle:
 //!
-//! * **Pre-estimation** — before attempting [`DeDP`](crate::DeDP) under
-//!   a memory ceiling, the literal `μ^r` pseudo-event matrix size is
-//!   computed from the pseudo-event layout; if it alone would blow the
-//!   ceiling, DeDP is skipped without doing any work.
 //! * **Degradation** — memory trips walk down the chain
 //!   `DeDP → DeDPO → RatioGreedy` (the paper's own memory-frugality
 //!   ordering: DeDPO produces identical plannings to DeDP with a
 //!   fraction of the footprint, RatioGreedy needs `O(|V| + |U|)`
 //!   state; its refresh cache adds at most 64 candidates per event in
 //!   one allocation and one log entry per assignment, none of it
-//!   charged to the guard). Every fallback is counted as a
-//!   `guard_fallback` trace event.
+//!   charged to the guard). DeDP charges its `μ^r` matrix against the
+//!   ceiling before allocating it, so a matrix that cannot fit costs
+//!   one refused reservation, not a solve. Every fallback is counted
+//!   as a `guard_fallback` trace event.
 //! * **Deadline splitting** — one wall-clock deadline covers the whole
 //!   chain; each attempt runs under the time *remaining*, and a
 //!   deadline or cancellation trip ends the chain immediately (retrying
@@ -22,9 +20,10 @@
 //!
 //! The result is a [`GuardedReport`]: the best constraint-valid
 //! planning found (by Ω), which algorithm produced it, the fallback
-//! trail, and the terminal [`SolveOutcome`].
+//! trail, and the terminal [`SolveOutcome`]. `usep serve` runs this
+//! same chain inside its unwind fence, so a served request and a
+//! `usep solve` with the same budget walk the same tiers.
 
-use crate::dedp::PseudoLayout;
 use crate::{solve_guarded, Algorithm, Probe};
 use std::time::Instant;
 use usep_core::{Instance, Planning};
@@ -51,8 +50,8 @@ pub struct GuardedReport {
     pub requested: Algorithm,
     /// The algorithm whose planning is returned.
     pub executed: Algorithm,
-    /// Algorithms abandoned (or skipped by pre-estimation) before
-    /// `executed`, in attempt order.
+    /// Algorithms abandoned on a memory trip before `executed`, in
+    /// attempt order.
     pub fallbacks: Vec<Algorithm>,
 }
 
@@ -109,26 +108,6 @@ impl GuardedSolver {
                 break;
             };
 
-            // DeDP's footprint is dominated by the μ^r matrix plus the
-            // one-shot SoA lowering every solve shares, and is known
-            // exactly up front — skip the attempt when it cannot fit.
-            if algo == Algorithm::DeDP && !is_last {
-                let bytes = PseudoLayout::new(inst)
-                    .mu_matrix_bytes(inst.num_users())
-                    .saturating_add(usep_core::FlatInstance::estimate_bytes(
-                        inst.num_events(),
-                        inst.num_users(),
-                    ));
-                if remaining.memory_ceiling().is_some_and(|ceiling| bytes > ceiling) {
-                    probe.count(Counter::GuardFallback, 1);
-                    probe.record("guarded_solve.skipped_matrix_bytes", bytes as f64);
-                    fallbacks.push(algo);
-                    terminal =
-                        SolveOutcome::Truncated { reason: TruncationReason::MemoryCeiling };
-                    continue;
-                }
-            }
-
             let guard = Guard::new(&remaining);
             let attempt = solve_guarded(algo, inst, &guard, probe);
             terminal = attempt.outcome;
@@ -151,9 +130,10 @@ impl GuardedSolver {
         }
         probe.span_exit("guarded_solve");
 
-        let (planning, executed, _) = best.unwrap_or_else(|| {
-            (Planning::empty(inst), *chain.last().expect("chains are non-empty"), 0.0)
-        });
+        // no tier ran (the deadline had already passed): nothing was
+        // executed below the requested algorithm, so name that one
+        let (planning, executed, _) =
+            best.unwrap_or_else(|| (Planning::empty(inst), self.algorithm, 0.0));
         GuardedReport {
             planning,
             outcome: terminal,
@@ -203,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_ceiling_skips_dedp_by_estimate() {
+    fn tiny_ceiling_refuses_the_dedp_matrix_before_allocating() {
         let inst = dense_instance(5, 4);
         // matrix needs 5*2 slots × 4 users × 8 bytes = 320 bytes > 64
         let budget = SolveBudget::unlimited().with_memory_ceiling(64);
@@ -212,14 +192,18 @@ mod tests {
             GuardedSolver::new(Algorithm::DeDP, budget).solve_with_probe(&inst, &sink);
         assert!(report.fallbacks.contains(&Algorithm::DeDP));
         assert!(sink.counter(Counter::GuardFallback) >= 1);
+        // DeDP's reservation was refused, so its matrix never existed
+        assert_eq!(sink.counter(Counter::PseudoMatrixBytes), 0);
+        assert!(sink.counter(Counter::GuardMemoryTrip) >= 1);
         assert!(report.planning.validate(&inst).is_ok());
     }
 
     #[test]
     fn chain_reaches_ratio_greedy_under_extreme_ceiling() {
         let inst = dense_instance(6, 5);
-        // 1 byte: DeDP skipped by estimate, DeDPO's DP scratch refused at
-        // its first growth, RatioGreedy (no charged allocations) completes
+        // 1 byte: DeDP's matrix and DeDPO's DP scratch are refused at
+        // their first reservation, RatioGreedy (no charged allocations)
+        // completes
         let budget = SolveBudget::unlimited().with_memory_ceiling(1);
         let report = GuardedSolver::new(Algorithm::DeDP, budget).solve(&inst);
         assert_eq!(report.fallbacks, vec![Algorithm::DeDP, Algorithm::DeDPO]);
@@ -238,6 +222,9 @@ mod tests {
             report.outcome,
             SolveOutcome::Truncated { reason: TruncationReason::Deadline }
         );
+        // no tier ran, so the report names the requested one
+        assert_eq!(report.executed, Algorithm::DeDPO);
+        assert!(!report.degraded());
         assert!(report.planning.validate(&inst).is_ok());
     }
 

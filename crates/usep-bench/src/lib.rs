@@ -1,34 +1,16 @@
 //! Shared helpers for the Criterion benchmarks.
 //!
-//! Each bench target mirrors one column of the paper's Figures 2–4 at a
-//! reduced scale (so `cargo bench` completes in minutes): the x-axis
-//! values are the paper's, the user count is scaled down, and every
-//! benchmark measures a full solver run on a pre-generated instance.
+//! The paper's figures are timed by `usep-experiments`; these targets
+//! time the layers under them: the flat core's hot paths
+//! (`core_hot_paths`), fork-join scaling (`par_scaling`), served
+//! requests (`serve_throughput`) and the cost of tracing
+//! (`trace_overhead`).
 
 #![warn(missing_docs)]
-
-use usep_algos::Algorithm;
-use usep_core::Instance;
 
 /// User count used by the benchmark instances (the paper's default is
 /// 5000; benches run at 250 to keep Criterion's sampling tractable).
 pub const BENCH_USERS: usize = 250;
-
-/// The algorithm set benchmarked in Figures 2–3 (all six).
-pub fn paper_algorithms() -> Vec<Algorithm> {
-    Algorithm::PAPER_SET.to_vec()
-}
-
-/// The algorithm set benchmarked in Figure 4 (no DeDP).
-pub fn scalable_algorithms() -> Vec<Algorithm> {
-    Algorithm::SCALABLE_SET.to_vec()
-}
-
-/// Runs `algorithm` once and returns Ω — the value benchmarks
-/// `black_box` to keep the run alive.
-pub fn solve_omega(algorithm: Algorithm, inst: &Instance) -> f64 {
-    usep_algos::solve(algorithm, inst).omega(inst)
-}
 
 /// Resolves a bench-export filename against the *workspace root*.
 ///

@@ -272,26 +272,6 @@ impl FlatInstance {
     pub fn round_trip_row(&self, u: UserId) -> &[Cost] {
         &self.rt[u.index() * self.nv..(u.index() + 1) * self.nv]
     }
-
-    /// Heap footprint of this view in bytes (arrays only).
-    pub fn bytes(&self) -> usize {
-        Self::estimate_bytes(self.nv, self.nu)
-    }
-
-    /// Heap footprint a freeze of an `nv × nu` instance would take,
-    /// without building it. Used by `usep-guard`'s pre-solve memory
-    /// estimates.
-    pub fn estimate_bytes(nv: usize, nu: usize) -> usize {
-        let words = nv.div_ceil(64);
-        let uv = nu * nv * std::mem::size_of::<Cost>();
-        nu * nv * std::mem::size_of::<f32>()  // mu
-            + 3 * uv                          // to + from + rt
-            + nv * nv * std::mem::size_of::<Cost>() // vv
-            + 2 * nv * std::mem::size_of::<i64>()   // start + end
-            + nv * std::mem::size_of::<u32>()       // capacity
-            + nu * std::mem::size_of::<Cost>()      // budget
-            + nv * words * std::mem::size_of::<u64>() // conflict
-    }
 }
 
 /// In-place `Vec::swap_remove` of row `row` in a `stride`-strided
@@ -625,13 +605,5 @@ mod tests {
                 assert_eq!(by_word, by_probe, "mask {mask:04b} probe {v}");
             }
         }
-    }
-
-    #[test]
-    fn estimate_bytes_matches_actual_layout() {
-        let inst = fixture();
-        let flat = inst.freeze();
-        assert_eq!(flat.bytes(), FlatInstance::estimate_bytes(4, 2));
-        assert!(flat.bytes() > 0);
     }
 }

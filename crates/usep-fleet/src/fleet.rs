@@ -7,6 +7,7 @@
 //! threads — the router accept loop, the health monitor, the shard
 //! supervisor, and the fleet's own `/metrics` HTTP listener.
 
+use crate::backoff::RetryPolicy;
 use crate::health::{HealthMonitor, ShardState};
 use crate::metrics::FleetMetrics;
 use crate::partition::PartitionTable;
@@ -17,7 +18,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use usep_serve::RetryPolicy;
 use usep_trace::{json, TraceSink};
 
 /// The three simulated Meetup cities `usep-gen` clusters instances

@@ -22,7 +22,7 @@
 //! * **Routing + failover** ([`router`]) — the front door speaks the
 //!   exact `usep-serve` protocol. Failed forwards move down the
 //!   deterministic preference order with capped equal-jitter backoff
-//!   ([`usep_serve::backoff`]); a fleet-level completion cache answers
+//!   ([`backoff`]); a fleet-level completion cache answers
 //!   duplicate ids and makes first-completion-wins the law across
 //!   failover, so no client ever sees two answers for one id.
 //! * **Supervision** ([`supervisor`]) — each shard owns a journal
@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod backoff;
 pub mod fleet;
 pub mod health;
 pub mod metrics;
@@ -49,6 +50,7 @@ pub mod partition;
 pub mod router;
 pub mod supervisor;
 
+pub use backoff::RetryPolicy;
 pub use fleet::{default_city_map, Fleet, FleetConfig, FleetHandle, DEFAULT_CITIES};
 pub use health::{probe, Health, HealthMonitor, ShardState};
 pub use metrics::FleetMetrics;

@@ -13,7 +13,7 @@
 //! 3. **Failover.** A connection error (shard died mid-solve), a
 //!    forward timeout, or an `Overloaded` shed moves the request to the
 //!    next shard in the preference order after a capped equal-jitter
-//!    backoff ([`usep_serve::backoff`], seeded from the request id so
+//!    backoff ([`crate::backoff`], seeded from the request id so
 //!    retry schedules are deterministic per request). Known-`Down`
 //!    shards are skipped on the first sweep and retried on the second —
 //!    the supervisor may have resurrected them by then.
@@ -27,6 +27,7 @@
 //!    router answers a typed `Overloaded` itself; no request ever dies
 //!    silently inside the fleet.
 
+use crate::backoff::{seed_from_id, RetryPolicy};
 use crate::health::{Health, ShardState};
 use crate::metrics::FleetMetrics;
 use crate::partition::PartitionTable;
@@ -36,8 +37,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use usep_serve::backoff::seed_from_id;
-use usep_serve::{send_request, RetryPolicy, SolveRequest, SolveResponse, Status};
+use usep_serve::{send_request, SolveRequest, SolveResponse, Status};
 use usep_trace::{Counter, Probe, TraceSink};
 
 /// Everything the router needs to run. Shards are index-aligned with

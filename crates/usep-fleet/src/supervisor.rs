@@ -4,20 +4,19 @@
 //! The supervisor parses the `listening`/`metrics` banner lines off
 //! child stdout (so port-0 binds work), polls for unexpected exits,
 //! and restarts a dead shard with `--resume true` after a capped
-//! equal-jitter backoff ([`usep_serve::backoff`], seeded from the
+//! equal-jitter backoff ([`crate::backoff`], seeded from the
 //! shard name so restart schedules are deterministic per shard). The
 //! restarted process replays its own journal — the shard-id stamp
 //! guarantees it can never accidentally replay a sibling's — and the
 //! router picks the new address up from the shared [`ShardState`].
 
+use crate::backoff::{seed_from_id, RetryPolicy};
 use crate::health::ShardState;
 use std::io::{self, BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use usep_serve::backoff::seed_from_id;
-use usep_serve::RetryPolicy;
 use usep_trace::Probe;
 
 /// How to launch one shard process. `args` must include the journal

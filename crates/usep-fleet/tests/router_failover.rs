@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use usep_fleet::{FleetMetrics, PartitionTable, Router, RouterConfig, ShardState};
-use usep_serve::{send_request, RetryPolicy, ServeConfig, SolveRequest, SolveResponse, Status};
+use usep_fleet::{FleetMetrics, PartitionTable, RetryPolicy, Router, RouterConfig, ShardState};
+use usep_serve::{send_request, ServeConfig, SolveRequest, SolveResponse, Status};
 use usep_trace::{Counter, TraceSink};
 
 fn request(id: &str, city: Option<&str>, seed: u64) -> SolveRequest {

@@ -388,15 +388,6 @@ impl Guard {
         }
     }
 
-    /// Whether reserving `bytes` would exceed the ceiling, without
-    /// reserving or tripping. Orchestrators use this to pre-estimate.
-    pub fn would_exceed(&self, bytes: usize) -> bool {
-        match self.ceiling {
-            Some(ceiling) => self.reserved.load(Ordering::Relaxed).saturating_add(bytes) > ceiling,
-            None => false,
-        }
-    }
-
     /// Trips the guard manually. The first reason recorded wins.
     pub fn trip(&self, reason: TruncationReason) {
         let _ = self.tripped.compare_exchange(
@@ -410,19 +401,6 @@ impl Guard {
     /// Whether the guard has tripped.
     pub fn is_tripped(&self) -> bool {
         self.tripped.load(Ordering::Relaxed) != NOT_TRIPPED
-    }
-
-    /// The absolute wall-clock deadline this guard enforces, when one
-    /// was configured. The serve layer stamps this into its
-    /// request-scoped trace context so nested layers share one clock.
-    pub fn deadline_instant(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Time left before the deadline trips (zero once it has passed);
-    /// `None` when no deadline is configured.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Whether any limit is configured. Solvers with a legacy
@@ -526,15 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn would_exceed_does_not_trip() {
-        let budget = SolveBudget::unlimited().with_memory_ceiling(100);
-        let g = Guard::new(&budget);
-        assert!(g.would_exceed(101));
-        assert!(!g.would_exceed(100));
-        assert!(!g.is_tripped());
-    }
-
-    #[test]
     fn chaos_trip_fires_at_exact_checkpoint() {
         let budget =
             SolveBudget::unlimited().with_chaos_trip(3, TruncationReason::Deadline);
@@ -603,24 +572,6 @@ mod tests {
         ledger.release(100);
         assert_eq!(ledger.in_use(), 0);
         assert!(ledger.try_reserve(10));
-    }
-
-    #[test]
-    fn deadline_accessors_expose_the_absolute_clock() {
-        let unlimited = Guard::unlimited();
-        assert!(unlimited.deadline_instant().is_none());
-        assert!(unlimited.remaining().is_none());
-
-        let budget = SolveBudget::unlimited().with_deadline(Duration::from_secs(60));
-        let guard = Guard::new(&budget);
-        let deadline = guard.deadline_instant().expect("deadline configured");
-        assert!(deadline > Instant::now());
-        let remaining = guard.remaining().expect("deadline configured");
-        assert!(remaining <= Duration::from_secs(60));
-        assert!(remaining >= Duration::from_secs(59));
-
-        let expired = Guard::new(&SolveBudget::unlimited().with_deadline(Duration::ZERO));
-        assert_eq!(expired.remaining(), Some(Duration::ZERO));
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! * **Fault isolation** ([`server`]) — each solve runs on its worker
 //!   thread behind a `catch_unwind` fence, so a panicking request
 //!   answers `Failed{panic}` and the server keeps serving.
-//! * **Retry with backoff** ([`backoff`]) — a `truncated:memory_ceiling`
-//!   attempt is retried one tier *down* the existing
-//!   DeDP → DeDPO → RatioGreedy degradation chain after a capped
-//!   exponential backoff with deterministic jitter, rather than
-//!   re-running the same solver into the same wall.
+//! * **Degradation** — inside the fence runs
+//!   [`usep_algos::GuardedSolver`], the same chain `usep solve` runs: a
+//!   `truncated:memory_ceiling` tier is retried one tier *down*
+//!   DeDP → DeDPO → RatioGreedy at once, rather than re-running the
+//!   same solver into the same wall. Every tier gets a fresh guard, so
+//!   waiting between tiers could not change the outcome.
 //! * **Crash-safe journal** ([`journal`]) — an append-only JSON-lines
 //!   write-ahead journal, fsynced on accept and on completion, with
 //!   length+CRC32 framed records behind a pluggable [`JournalIo`]
@@ -45,15 +46,14 @@
 //!   answer the cached outcome — exactly-once, like solve ids.
 //! * **Observability plane** ([`obs`]) — a Prometheus-text `/metrics`
 //!   listener on its own port (`--metrics-addr`), request-scoped
-//!   tracing (every span under a solve carries the request id and
-//!   retry attempt), per-phase latency breakdowns on every reply, and
+//!   tracing (every span under a solve carries the request id),
+//!   per-phase latency breakdowns on every reply, and
 //!   a fixed-size flight recorder dumped via the `dump` verb, on
 //!   contained panics, and at shutdown.
 
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod backoff;
 pub mod client;
 pub mod io;
 pub mod journal;
@@ -62,7 +62,6 @@ pub mod protocol;
 pub mod server;
 
 pub use admission::{Admission, ShedReason, Ticket};
-pub use backoff::RetryPolicy;
 pub use client::send_request;
 pub use io::{compact_tmp_path, crc32, JournalIo, StdIo};
 pub use journal::{DeltaSessionState, Journal, JournalRecord, JournalState};

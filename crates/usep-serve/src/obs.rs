@@ -207,7 +207,7 @@ impl ServeMetrics {
             (
                 "usep_serve_retried_total",
                 "Serve-level retries down the degradation chain.",
-                Counter::ServeRetry,
+                Counter::GuardFallback,
             ),
             (
                 "usep_serve_replayed_total",

@@ -96,8 +96,9 @@ impl Status {
 ///
 /// The phases partition the server-side latency a client observes:
 /// `admission_ms` (parse, screen, admit, journal), `queue_wait_ms`
-/// (admitted → picked up by a worker), `solve_ms` (all solver tiers
-/// together) and `backoff_ms` (sleeps between retry tiers).
+/// (admitted → picked up by a worker) and `solve_ms` (all solver tiers
+/// together). `backoff_ms` is always 0 (no tier waits before the next);
+/// it stays on the wire for clients that read all four fields.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimings {
     /// Parse + screening + admission + journal fsync, before enqueue.
@@ -109,7 +110,7 @@ pub struct PhaseTimings {
     /// Wall-clock inside the solver tiers (sum over retries).
     #[serde(default)]
     pub solve_ms: f64,
-    /// Wall-clock spent sleeping in retry backoff.
+    /// Always 0; kept on the wire for clients that read it.
     #[serde(default)]
     pub backoff_ms: f64,
 }

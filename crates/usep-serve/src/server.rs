@@ -8,8 +8,8 @@
 //!   line's own bytes), then blocks on the reply channel and writes the
 //!   response line;
 //! * `workers` **solver** threads draining one shared job queue. Each
-//!   job runs behind a `catch_unwind` fence with the serve-level
-//!   retry/degradation loop inside it.
+//!   job runs the [`GuardedSolver`] degradation chain behind a
+//!   `catch_unwind` fence.
 //!
 //! Shutdown is cooperative: set the flag, poke the listener with a
 //! dummy connection, let connection threads finish their in-flight
@@ -18,7 +18,6 @@
 //! (`SIGKILL`) the journal carries the pending set instead.
 
 use crate::admission::{Admission, ShedReason, Ticket};
-use crate::backoff::{seed_from_id, RetryPolicy};
 use crate::io::{JournalIo, StdIo};
 use crate::journal::{Journal, JournalRecord, JournalState};
 use crate::obs::ServeMetrics;
@@ -34,10 +33,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use usep_algos::{solve_guarded, Algorithm, GuardedSolver};
-use usep_core::Planning;
+use usep_algos::{Algorithm, GuardedSolver};
 use usep_delta::{DeltaConfig, DeltaEngine, Mutation, RepairKind};
-use usep_guard::{Guard, SolveBudget, SolveOutcome, TruncationReason};
+use usep_guard::{SolveBudget, TruncationReason};
 use usep_obs::http;
 use usep_trace::{json, Counter, Probe, RequestCtx, RequestProbe, TraceSink};
 
@@ -76,14 +74,12 @@ pub struct ServeConfig {
     /// Replay the journal before serving: re-enqueue accepted-but-
     /// incomplete requests, remember completed ids.
     pub resume: bool,
-    /// Backoff between degradation-chain retries.
-    pub retry: RetryPolicy,
     /// Read timeout on client connections.
     pub conn_read_timeout: Duration,
     /// Stop (gracefully) after this many journaled completions —
     /// resumed solves count. For tests and drain scripts.
     pub max_requests: Option<u64>,
-    /// Fault injection: arm every solve's guard with a chaos trip
+    /// Fault injection: arm every tier's guard with a chaos trip
     /// (memory-ceiling reason) at this checkpoint count.
     pub chaos_trip: Option<u64>,
     /// Fault injection: panic inside the fence on every Nth solve.
@@ -120,7 +116,6 @@ impl Default for ServeConfig {
             journal: None,
             journal_io: None,
             resume: false,
-            retry: RetryPolicy::default(),
             conn_read_timeout: Duration::from_secs(30),
             max_requests: None,
             chaos_trip: None,
@@ -1072,8 +1067,8 @@ fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The solve itself: budget capping, the fence, and the serve-level
-/// walk down the degradation chain with backoff between tiers.
+/// The solve itself: budget capping, then the degradation chain behind
+/// the fence.
 fn solve_request(inner: &Inner, request: &SolveRequest) -> SolveResponse {
     let cfg = &inner.cfg;
     let seq = inner.solves_started.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1081,7 +1076,6 @@ fn solve_request(inner: &Inner, request: &SolveRequest) -> SolveResponse {
         default_algorithm: cfg.default_algorithm,
         max_timeout_ms: cfg.max_timeout_ms,
         max_mem_budget_bytes: cfg.max_mem_budget_bytes,
-        retry: cfg.retry,
         chaos_trip: cfg.chaos_trip,
         chaos_panic_now: cfg.chaos_panic_every.is_some_and(|n| n > 0 && seq.is_multiple_of(n)),
         chaos_delay_ms: cfg.chaos_delay_ms,
@@ -1090,7 +1084,7 @@ fn solve_request(inner: &Inner, request: &SolveRequest) -> SolveResponse {
 }
 
 /// Server-side limits and fault-injection switches for one solve,
-/// decoupled from the socket/journal machinery so the retry chain can
+/// decoupled from the socket/journal machinery so the serve path can
 /// be driven in-process (differential tests, determinism audits).
 #[derive(Clone, Debug)]
 pub struct SolveLimits {
@@ -1102,16 +1096,15 @@ pub struct SolveLimits {
     /// Cap on the request's memory ceiling; `None` leaves requests
     /// without one uncapped.
     pub max_mem_budget_bytes: Option<usize>,
-    /// Backoff between degradation-chain retries.
-    pub retry: RetryPolicy,
-    /// Fault injection: arm the guard with a chaos trip (memory-ceiling
-    /// reason) at this checkpoint count.
+    /// Fault injection: arm every tier's guard with a chaos trip
+    /// (memory-ceiling reason) at this checkpoint count.
     pub chaos_trip: Option<u64>,
     /// Fault injection: panic inside the fence on this solve. The
     /// server derives this from its solve sequence number and
     /// `chaos_panic_every`.
     pub chaos_panic_now: bool,
-    /// Fault injection: sleep this long inside each tier's solve.
+    /// Fault injection: sleep this long inside the fence before the
+    /// chain starts (the solve's deadline starts after the sleep).
     pub chaos_delay_ms: u64,
 }
 
@@ -1122,7 +1115,6 @@ impl Default for SolveLimits {
             default_algorithm: cfg.default_algorithm,
             max_timeout_ms: cfg.max_timeout_ms,
             max_mem_budget_bytes: cfg.max_mem_budget_bytes,
-            retry: cfg.retry,
             chaos_trip: None,
             chaos_panic_now: false,
             chaos_delay_ms: 0,
@@ -1130,10 +1122,10 @@ impl Default for SolveLimits {
     }
 }
 
-/// Runs one request through the full serve retry/degradation chain —
-/// budget capping, the unwind fence, the infeasible-planning
-/// quarantine, best-by-Ω tier selection, and jittered backoff between
-/// tiers — without a server, socket, or journal.
+/// Runs one request through the serve solve path — budget capping, the
+/// unwind fence around the [`GuardedSolver`] degradation chain, and the
+/// infeasible-planning quarantine — without a server, socket, or
+/// journal.
 ///
 /// This is exactly the path a live server executes per job; the server
 /// calls it through `solve_request`. Exposed so the `usep-oracle`
@@ -1148,9 +1140,9 @@ pub fn solve_with_retry(
 }
 
 /// [`solve_with_retry`] with the serve observability plane attached:
-/// failure cells tick, tier transitions land in the flight recorder,
-/// and every span the solvers open under this call is stamped with the
-/// request id and the retry attempt via a [`RequestProbe`].
+/// failure cells tick, the degradation trail lands in the flight
+/// recorder, and every span the solvers open under this call is stamped
+/// with the request id via a [`RequestProbe`].
 pub fn solve_with_retry_observed(
     request: &SolveRequest,
     limits: &SolveLimits,
@@ -1162,192 +1154,111 @@ pub fn solve_with_retry_observed(
         .as_deref()
         .and_then(Algorithm::parse)
         .unwrap_or(limits.default_algorithm);
-    let chain = GuardedSolver::degradation_chain(algorithm);
-
-    let total = Duration::from_millis(request.timeout_ms.unwrap_or(limits.max_timeout_ms))
-        .min(Duration::from_millis(limits.max_timeout_ms));
-    let ceiling = {
-        let requested = request.mem_budget_mb.map(|mb| (mb as usize).saturating_mul(1 << 20));
-        match (requested, limits.max_mem_budget_bytes) {
-            (Some(r), Some(cap)) => Some(r.min(cap)),
-            (Some(r), None) => Some(r),
-            (None, cap) => cap,
-        }
+    let timeout_ms = request.timeout_ms.unwrap_or(limits.max_timeout_ms).min(limits.max_timeout_ms);
+    let mut budget = SolveBudget::unlimited().with_deadline(Duration::from_millis(timeout_ms));
+    let requested = request.mem_budget_mb.map(|mb| (mb as usize).saturating_mul(1 << 20));
+    let ceiling = match (requested, limits.max_mem_budget_bytes) {
+        (Some(r), Some(cap)) => Some(r.min(cap)),
+        (r, cap) => r.or(cap),
     };
-    let seed = seed_from_id(&request.id);
-    let start = Instant::now();
-    let ctx = {
-        let mut c = RequestCtx::new(&request.id);
-        c.deadline = Some(start + total);
-        c
-    };
+    if let Some(bytes) = ceiling {
+        budget = budget.with_memory_ceiling(bytes);
+    }
+    if let Some(at) = limits.chaos_trip {
+        budget = budget.with_chaos_trip(at, TruncationReason::MemoryCeiling);
+    }
 
-    let mut retries: u64 = 0;
-    let mut solve_ms = 0.0;
-    let mut backoff_ms = 0.0;
-    // best constraint-valid planning across tiers, by Ω
-    let mut best: Option<(Planning, Algorithm, f64)> = None;
-    let mut last_reason = TruncationReason::Deadline;
-
-    for (k, &tier) in chain.iter().enumerate() {
-        let is_last = k + 1 == chain.len();
-        let Some(remaining) = SolveBudget::unlimited()
-            .with_deadline(total)
-            .with_remaining_deadline(start.elapsed())
-        else {
-            last_reason = TruncationReason::Deadline;
-            break;
-        };
-        let mut budget = remaining;
-        if let Some(bytes) = ceiling {
-            budget = budget.with_memory_ceiling(bytes);
-        }
-        if let Some(at) = limits.chaos_trip {
-            budget = budget.with_chaos_trip(at, TruncationReason::MemoryCeiling);
-        }
-        let guard = Guard::new(&budget);
-
+    // The fence: a panic anywhere in the solver stack, which runs on
+    // this worker thread, becomes a typed response instead of a dead
+    // server. Every span the chain opens carries the request id.
+    let scoped = RequestProbe::new(probe, RequestCtx::new(&request.id));
+    let started = Instant::now();
+    let solved = catch_unwind(AssertUnwindSafe(|| {
         if limits.chaos_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(limits.chaos_delay_ms));
         }
+        if limits.chaos_panic_now {
+            panic!("chaos: injected panic");
+        }
+        GuardedSolver::new(algorithm, budget).solve_with_probe(&request.instance, &scoped)
+    }));
+    let timings = Some(PhaseTimings {
+        solve_ms: started.elapsed().as_secs_f64() * 1e3,
+        ..PhaseTimings::default()
+    });
+    let failed = |panic: String| SolveResponse {
+        timings,
+        ..SolveResponse::bare(request.id.clone(), Status::Failed { panic })
+    };
 
-        // The fence: a panic anywhere in the solver stack, which runs
-        // on this worker thread, becomes a typed response instead of a
-        // dead server. Every span the tier opens carries the request id
-        // and this attempt number.
-        let scoped = RequestProbe::new(probe, ctx.with_attempt(k as u32));
-        let tier_started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if limits.chaos_panic_now {
-                panic!("chaos: injected panic");
-            }
-            solve_guarded(tier, &request.instance, &guard, &scoped)
-        }));
-        solve_ms += tier_started.elapsed().as_secs_f64() * 1e3;
-
-        let solved = match attempt {
-            Ok(s) => s,
-            Err(payload) => {
-                probe.count(Counter::ServePanic, 1);
-                let panic_msg = describe_panic(payload);
-                if let Some(obs) = obs {
-                    obs.failed_panic.fetch_add(1, Ordering::Relaxed);
-                    obs.recorder.record(
-                        "panic",
-                        Some(&request.id),
-                        format!("tier {} {}: {panic_msg}", k, tier.name()),
-                    );
-                    // the black box survives into the logs at the
-                    // moment of the crash, not just at shutdown
-                    eprintln!(
-                        "usep-serve: contained panic in '{}': {}",
-                        request.id,
-                        obs.recorder.dump_json()
-                    );
-                }
-                return SolveResponse {
-                    retries,
-                    timings: Some(PhaseTimings { solve_ms, backoff_ms, ..PhaseTimings::default() }),
-                    ..SolveResponse::bare(
-                        request.id.clone(),
-                        Status::Failed { panic: panic_msg },
-                    )
-                };
-            }
-        };
-
-        // A solver that returns an infeasible planning is a bug, not a
-        // client error; quarantine it like a panic.
-        if let Err(e) = solved.planning.validate(&request.instance) {
+    let report = match solved {
+        Ok(report) => report,
+        Err(payload) => {
             probe.count(Counter::ServePanic, 1);
+            let panic_msg = describe_panic(payload);
             if let Some(obs) = obs {
-                obs.failed_infeasible.fetch_add(1, Ordering::Relaxed);
+                obs.failed_panic.fetch_add(1, Ordering::Relaxed);
                 obs.recorder.record(
-                    "infeasible",
+                    "panic",
                     Some(&request.id),
-                    format!("tier {} {}: {e}", k, tier.name()),
+                    format!("{}: {panic_msg}", algorithm.name()),
+                );
+                // the black box survives into the logs at the moment of
+                // the crash, not just at shutdown
+                eprintln!(
+                    "usep-serve: contained panic in '{}': {}",
+                    request.id,
+                    obs.recorder.dump_json()
                 );
             }
-            return SolveResponse {
-                retries,
-                timings: Some(PhaseTimings { solve_ms, backoff_ms, ..PhaseTimings::default() }),
-                ..SolveResponse::bare(
-                    request.id.clone(),
-                    Status::Failed { panic: format!("solver produced infeasible planning: {e}") },
-                )
-            };
+            return failed(panic_msg);
         }
+    };
 
-        let omega = solved.planning.omega(&request.instance);
-        if best.as_ref().is_none_or(|&(_, _, b)| omega > b) {
-            best = Some((solved.planning, tier, omega));
+    // A solver that returns an infeasible planning is a bug, not a
+    // client error; quarantine it like a panic.
+    if let Err(e) = report.planning.validate(&request.instance) {
+        probe.count(Counter::ServePanic, 1);
+        if let Some(obs) = obs {
+            obs.failed_infeasible.fetch_add(1, Ordering::Relaxed);
+            obs.recorder.record(
+                "infeasible",
+                Some(&request.id),
+                format!("{}: {e}", report.executed.name()),
+            );
         }
-
-        match solved.outcome {
-            SolveOutcome::Complete => {
-                let (planning, executed, omega) = best.expect("just inserted");
-                return SolveResponse {
-                    id: request.id.clone(),
-                    status: Status::Complete,
-                    omega,
-                    assignments: planning.num_assignments() as u64,
-                    executed: Some(executed.name().to_string()),
-                    retries,
-                    planning: Some(planning),
-                    timings: Some(PhaseTimings { solve_ms, backoff_ms, ..PhaseTimings::default() }),
-                    shard: None,
-                };
-            }
-            SolveOutcome::Truncated { reason: TruncationReason::MemoryCeiling } if !is_last => {
-                // one tier down, after a jittered, deadline-bounded wait
-                retries += 1;
-                probe.count(Counter::ServeRetry, 1);
-                last_reason = TruncationReason::MemoryCeiling;
-                let delay = limits.retry.delay(retries as u32, seed);
-                let left = total.saturating_sub(start.elapsed());
-                if let Some(obs) = obs {
-                    obs.recorder.record(
-                        "retry",
-                        Some(&request.id),
-                        format!(
-                            "memory_ceiling at {}; backoff {:?} then tier {}",
-                            tier.name(),
-                            delay.min(left),
-                            chain[k + 1].name()
-                        ),
-                    );
-                }
-                let slept = Instant::now();
-                std::thread::sleep(delay.min(left));
-                backoff_ms += slept.elapsed().as_secs_f64() * 1e3;
-            }
-            SolveOutcome::Truncated { reason } => {
-                if let Some(obs) = obs {
-                    obs.recorder.record(
-                        "guard_trip",
-                        Some(&request.id),
-                        format!("{} at tier {} {}", reason.name(), k, tier.name()),
-                    );
-                }
-                last_reason = reason;
-                break;
-            }
-        }
+        return failed(format!("solver produced infeasible planning: {e}"));
     }
 
-    let (planning, executed, omega) = match best {
-        Some(b) => b,
-        None => (Planning::empty(&request.instance), *chain.last().expect("non-empty"), 0.0),
+    if let Some(obs) = obs {
+        for tier in &report.fallbacks {
+            obs.recorder.record(
+                "retry",
+                Some(&request.id),
+                format!("memory_ceiling at {}; one tier down", tier.name()),
+            );
+        }
+        if let Some(reason) = report.outcome.reason() {
+            obs.recorder.record(
+                "guard_trip",
+                Some(&request.id),
+                format!("{} at {}", reason.name(), report.executed.name()),
+            );
+        }
+    }
+    let status = match report.outcome.reason() {
+        None => Status::Complete,
+        Some(reason) => Status::Truncated { reason: reason.name().to_string() },
     };
     SolveResponse {
         id: request.id.clone(),
-        status: Status::Truncated { reason: last_reason.name().to_string() },
-        omega,
-        assignments: planning.num_assignments() as u64,
-        executed: Some(executed.name().to_string()),
-        retries,
-        planning: Some(planning),
-        timings: Some(PhaseTimings { solve_ms, backoff_ms, ..PhaseTimings::default() }),
+        status,
+        omega: report.planning.omega(&request.instance),
+        assignments: report.planning.num_assignments() as u64,
+        executed: Some(report.executed.name().to_string()),
+        retries: report.fallbacks.len() as u64,
+        planning: Some(report.planning),
+        timings,
         shard: None,
     }
 }

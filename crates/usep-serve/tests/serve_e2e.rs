@@ -299,6 +299,14 @@ fn server_side_caps_bound_client_budgets() {
     }
     // even a zero-budget response carries a (possibly empty) valid planning
     resp.planning.as_ref().unwrap().validate(&req.instance).unwrap();
+    // no tier ran, so nothing degraded: the response names the default
+    // algorithm and no degraded series moved
+    assert_eq!(resp.executed.as_deref(), Some("DeDPO"));
+    assert_eq!(resp.retries, 0);
+    let text = server.metrics().render();
+    for line in text.lines().filter(|l| l.starts_with("usep_serve_degraded_total{")) {
+        assert!(line.ends_with(" 0"), "nothing degraded, yet: {line}");
+    }
     server.shutdown();
     server.wait();
 }

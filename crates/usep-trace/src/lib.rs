@@ -69,15 +69,14 @@ pub enum Counter {
     GuardMemoryTrip,
     /// Guard tripped by cooperative cancellation (solve truncated).
     GuardCancelTrip,
-    /// GuardedSolver fell back one step along DeDP → DeDPO → RatioGreedy.
+    /// GuardedSolver fell back one step along DeDP → DeDPO → RatioGreedy
+    /// after a memory trip — in `usep solve` and in every served
+    /// request, where it sources `usep_serve_retried_total`.
     GuardFallback,
     /// Request admitted into the serve queue (journaled as accepted).
     ServeAccept,
     /// Request shed at admission (queue full or memory ledger refused).
     ServeShed,
-    /// Serve-level retry: a memory-truncated attempt re-ran one tier
-    /// down the degradation chain after backoff.
-    ServeRetry,
     /// Solve panicked and was contained by the request's unwind fence.
     ServePanic,
     /// Accepted-but-incomplete request re-enqueued from the journal at
@@ -138,7 +137,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 39] = [
         Counter::HeapPush,
         Counter::HeapPop,
         Counter::HeapPopStale,
@@ -156,7 +155,6 @@ impl Counter {
         Counter::GuardFallback,
         Counter::ServeAccept,
         Counter::ServeShed,
-        Counter::ServeRetry,
         Counter::ServePanic,
         Counter::ServeResume,
         Counter::ServeReplay,
@@ -201,7 +199,6 @@ impl Counter {
             Counter::GuardFallback => "guard_fallback",
             Counter::ServeAccept => "serve_accept",
             Counter::ServeShed => "serve_shed",
-            Counter::ServeRetry => "serve_retry",
             Counter::ServePanic => "serve_panic",
             Counter::ServeResume => "serve_resume",
             Counter::ServeReplay => "serve_replay",
@@ -282,37 +279,20 @@ pub trait Probe: Sync {
 }
 
 /// Request-scoped tracing context, propagated from serve admission
-/// through the degradation chain into every span and counter the solve
-/// emits.
+/// through the degradation chain into every span the solve emits.
 ///
 /// The context is deliberately tiny and cheap to clone: the id is a
-/// shared `Arc<str>`, the deadline an absolute instant (so nested
-/// layers need no budget arithmetic), and `attempt` counts degradation
-/// tiers (0 = the originally requested algorithm).
+/// shared `Arc<str>`.
 #[derive(Clone, Debug)]
 pub struct RequestCtx {
     /// Client-chosen request id, unique per admission.
     pub request_id: std::sync::Arc<str>,
-    /// Absolute deadline for the whole request, if one exists.
-    pub deadline: Option<Instant>,
-    /// Zero-based attempt index along the degradation chain.
-    pub attempt: u32,
 }
 
 impl RequestCtx {
-    /// A context with the given id, no deadline, attempt 0.
+    /// A context with the given id.
     pub fn new(request_id: &str) -> RequestCtx {
-        RequestCtx { request_id: std::sync::Arc::from(request_id), deadline: None, attempt: 0 }
-    }
-
-    /// The same request one tier further down the degradation chain.
-    pub fn with_attempt(&self, attempt: u32) -> RequestCtx {
-        RequestCtx { request_id: self.request_id.clone(), deadline: self.deadline, attempt }
-    }
-
-    /// Time left until the deadline; `None` when unbounded.
-    pub fn remaining(&self) -> Option<std::time::Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
+        RequestCtx { request_id: std::sync::Arc::from(request_id) }
     }
 }
 
@@ -321,9 +301,8 @@ impl RequestCtx {
 ///
 /// Solver code takes `&dyn Probe` and knows nothing about requests;
 /// the serve layer wraps its shared [`TraceSink`] in a `RequestProbe`
-/// per admission (and per degradation tier), so every JSONL span event
-/// produced under it carries the request id without any solver-side
-/// plumbing.
+/// per solve, so every JSONL span event produced under it carries the
+/// request id without any solver-side plumbing.
 pub struct RequestProbe<'a> {
     parent: &'a dyn Probe,
     ctx: RequestCtx,
@@ -646,7 +625,6 @@ impl TraceSink {
                     "request_id".to_string(),
                     json::Value::Str(ctx.request_id.to_string()),
                 ));
-                fields.push(("attempt".to_string(), json::Value::U64(u64::from(ctx.attempt))));
             }
             Self::emit(&mut state, &json::Value::Map(fields).render());
         }
@@ -686,7 +664,6 @@ impl TraceSink {
                     "request_id".to_string(),
                     json::Value::Str(ctx.request_id.to_string()),
                 ));
-                fields.push(("attempt".to_string(), json::Value::U64(u64::from(ctx.attempt))));
             }
             Self::emit(&mut state, &json::Value::Map(fields).render());
         }
@@ -911,7 +888,7 @@ mod tests {
     fn request_probe_stamps_spans_with_the_request_id() {
         let buf = std::sync::Arc::new(Mutex::new(Vec::<u8>::new()));
         let sink = TraceSink::with_writer(Box::new(SharedBuf(buf.clone())));
-        let ctx = RequestCtx::new("req-42").with_attempt(2);
+        let ctx = RequestCtx::new("req-42");
         let scoped = RequestProbe::new(&sink, ctx);
         with_span(&scoped, "solve", || {
             scoped.count(Counter::DpCellVisit, 5);
@@ -922,7 +899,6 @@ mod tests {
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         for line in text.lines().filter(|l| l.contains("\"span_")) {
             assert!(line.contains("\"request_id\":\"req-42\""), "{line}");
-            assert!(line.contains("\"attempt\":2"), "{line}");
         }
     }
 
@@ -934,18 +910,6 @@ mod tests {
         sink.finish().unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert!(!text.contains("request_id"));
-    }
-
-    #[test]
-    fn request_ctx_remaining_tracks_the_deadline() {
-        let mut ctx = RequestCtx::new("r");
-        assert!(ctx.remaining().is_none());
-        ctx.deadline = Some(Instant::now() + std::time::Duration::from_secs(60));
-        let left = ctx.remaining().unwrap();
-        assert!(left <= std::time::Duration::from_secs(60));
-        assert!(left >= std::time::Duration::from_secs(59));
-        ctx.deadline = Some(Instant::now() - std::time::Duration::from_secs(1));
-        assert_eq!(ctx.remaining().unwrap(), std::time::Duration::ZERO);
     }
 
     #[test]

@@ -85,10 +85,13 @@ fn guarded_orchestrator_survives_degenerate_instances() {
             assert!(!r.degraded(), "{a} on '{label}'");
             assert_eq!(r.executed, a, "{a} on '{label}'");
 
-            // an already-expired deadline: truncated, still valid
+            // an already-expired deadline: truncated, still valid, and
+            // no tier ran, so the requested algorithm is the one named
             let expired = SolveBudget::unlimited().with_deadline(Duration::ZERO);
             let r = GuardedSolver::new(a, expired).solve(&inst);
             assert!(!r.outcome.is_complete(), "{a} on '{label}'");
+            assert_eq!(r.executed, a, "{a} on '{label}'");
+            assert!(!r.degraded(), "{a} on '{label}'");
             assert!(r.planning.validate(&inst).is_ok(), "{a} on '{label}'");
             assert_eq!(r.planning.num_assignments(), 0, "{a} on '{label}'");
         }
