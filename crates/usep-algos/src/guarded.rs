@@ -4,15 +4,16 @@
 //! [`SolveBudget`] and manages the whole solve lifecycle:
 //!
 //! * **Degradation** — memory trips walk down the chain
-//!   `DeDP → DeDPO → RatioGreedy` (the paper's own memory-frugality
-//!   ordering: DeDPO produces identical plannings to DeDP with a
-//!   fraction of the footprint, RatioGreedy needs `O(|V| + |U|)`
-//!   state; its refresh cache adds at most 64 candidates per event in
-//!   one allocation and one log entry per assignment, none of it
-//!   charged to the guard). DeDP charges its `μ^r` matrix against the
-//!   ceiling before allocating it, so a matrix that cannot fit costs
-//!   one refused reservation, not a solve. Every fallback is counted
-//!   as a `guard_fallback` trace event.
+//!   `DeDP → DeDPO → DeGreedy+RG` (DeDPO produces identical plannings
+//!   to DeDP with a fraction of the footprint). Only DeDP's `μ^r`
+//!   matrix and the per-user DP's buffers reserve memory through the
+//!   guard, and each charges the ceiling before allocating, so a tier
+//!   that cannot fit costs one refused reservation, not a solve.
+//!   DeGreedy+RG reserves nothing, so the last tier cannot trip a
+//!   ceiling, and it beats RatioGreedy, the paper's Alg. 1 and the
+//!   chain's last tier before it, on Ω, time and peak heap at every
+//!   point measured. Every fallback is counted as a `guard_fallback`
+//!   trace event.
 //! * **Deadline splitting** — one wall-clock deadline covers the whole
 //!   chain; each attempt runs under the time *remaining*, and a
 //!   deadline or cancellation trip ends the chain immediately (retrying
@@ -31,7 +32,7 @@ use usep_guard::{Guard, SolveBudget, SolveOutcome, TruncationReason};
 use usep_trace::{Counter, NOOP};
 
 /// Orchestrates a solve under a [`SolveBudget`], degrading
-/// `DeDP → DeDPO → RatioGreedy` on memory pressure.
+/// `DeDP → DeDPO → DeGreedy+RG` on memory pressure.
 #[derive(Clone, Debug)]
 pub struct GuardedSolver {
     algorithm: Algorithm,
@@ -74,9 +75,9 @@ impl GuardedSolver {
     /// singleton chains.
     pub fn degradation_chain(algorithm: Algorithm) -> &'static [Algorithm] {
         match algorithm {
-            Algorithm::DeDP => &[Algorithm::DeDP, Algorithm::DeDPO, Algorithm::RatioGreedy],
-            Algorithm::DeDPO => &[Algorithm::DeDPO, Algorithm::RatioGreedy],
-            Algorithm::DeDPORG => &[Algorithm::DeDPORG, Algorithm::RatioGreedy],
+            Algorithm::DeDP => &[Algorithm::DeDP, Algorithm::DeDPO, Algorithm::DeGreedyRG],
+            Algorithm::DeDPO => &[Algorithm::DeDPO, Algorithm::DeGreedyRG],
+            Algorithm::DeDPORG => &[Algorithm::DeDPORG, Algorithm::DeGreedyRG],
             Algorithm::RatioGreedy => &[Algorithm::RatioGreedy],
             Algorithm::DeGreedy => &[Algorithm::DeGreedy],
             Algorithm::DeGreedyRG => &[Algorithm::DeGreedyRG],
@@ -199,18 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn chain_reaches_ratio_greedy_under_extreme_ceiling() {
+    fn chain_reaches_degreedy_rg_under_extreme_ceiling() {
         let inst = dense_instance(6, 5);
         // 1 byte: DeDP's matrix and DeDPO's DP scratch are refused at
-        // their first reservation, RatioGreedy (no charged allocations)
+        // their first reservation, DeGreedy+RG (no charged allocations)
         // completes
         let budget = SolveBudget::unlimited().with_memory_ceiling(1);
         let report = GuardedSolver::new(Algorithm::DeDP, budget).solve(&inst);
         assert_eq!(report.fallbacks, vec![Algorithm::DeDP, Algorithm::DeDPO]);
-        assert_eq!(report.executed, Algorithm::RatioGreedy);
+        assert_eq!(report.executed, Algorithm::DeGreedyRG);
         assert!(report.outcome.is_complete(), "terminal attempt ran unimpeded");
         assert!(report.planning.validate(&inst).is_ok());
-        assert_eq!(report.planning, crate::solve(Algorithm::RatioGreedy, &inst));
+        assert_eq!(report.planning, crate::solve(Algorithm::DeGreedyRG, &inst));
     }
 
     #[test]
@@ -230,7 +231,12 @@ mod tests {
 
     #[test]
     fn singleton_chains_never_degrade() {
-        for a in [Algorithm::RatioGreedy, Algorithm::DeGreedy, Algorithm::UtilityGreedy] {
+        for a in [
+            Algorithm::RatioGreedy,
+            Algorithm::DeGreedy,
+            Algorithm::DeGreedyRG,
+            Algorithm::UtilityGreedy,
+        ] {
             assert_eq!(GuardedSolver::degradation_chain(a), &[a]);
         }
     }

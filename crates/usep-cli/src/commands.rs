@@ -1162,7 +1162,7 @@ mod tests {
             "gen", "--events", "6", "--users", "10", "--seed", "5", "--out", inst_s,
         ]))
         .unwrap();
-        // a 0 MB ceiling forces the chain down to RatioGreedy, which
+        // a 0 MB ceiling forces the chain down to DeGreedy+RG, which
         // charges no allocations and completes — exit code stays 0
         let code = dispatch(&argv(&[
             "solve", "--instance", inst_s, "--algorithm", "dedp", "--mem-budget-mb", "0",

@@ -29,13 +29,17 @@
 //!    left before the mutation, so only pairs touching the dirty set
 //!    can be valid, and the pass accepts exactly what one seeded with
 //!    every residual event and user would (DESIGN.md §16). Otherwise
-//!    the engine falls back to a cold RatioGreedy solve, resets the
-//!    churn accumulator and re-anchors Ω.
+//!    the engine falls back to a cold solve with
+//!    [`DeltaConfig::cold`] (DeGreedy+RG by default), resets the churn
+//!    accumulator and re-anchors Ω.
 //!
 //! Because the repair pass is *augmentation-stable* (re-running it on a
 //! planning it just produced adds nothing), applying a mutation and its
 //! exact inverse under the repair path restores the planning
-//! byte-for-byte — the metamorphic suites assert this.
+//! byte-for-byte — the metamorphic suites assert this. The cold solve
+//! is RatioGreedy or ends in RatioGreedy's pass, run until its heap is
+//! empty, so the planning it hands the first repair is
+//! augmentation-stable too.
 
 use std::collections::HashMap;
 
@@ -57,11 +61,20 @@ pub struct DeltaConfig {
     /// pins the engine to the repair path (the metamorphic tests use
     /// this to exercise pure repairs).
     pub fallback_threshold: f64,
+    /// The cold solve run at open and at every fallback. It must be
+    /// [`Algorithm::RatioGreedy`] or a `+RG` variant, so that the cold
+    /// planning is augmentation-stable: a repair seeds only the
+    /// mutation's dirty set, which finds every valid pair only when the
+    /// planning before the mutation had none left (DESIGN.md §16). The
+    /// default, DeGreedy+RG, beats RatioGreedy on Ω, time and heap;
+    /// sessions journaled before opens named their cold solve resume
+    /// with RatioGreedy.
+    pub cold: Algorithm,
 }
 
 impl Default for DeltaConfig {
     fn default() -> DeltaConfig {
-        DeltaConfig { fallback_threshold: 0.3 }
+        DeltaConfig { fallback_threshold: 0.3, cold: Algorithm::DeGreedyRG }
     }
 }
 
@@ -196,11 +209,11 @@ pub struct DeltaEngine {
 }
 
 impl DeltaEngine {
-    /// Builds warm state around `inst`: solves it cold with RatioGreedy
-    /// and stamps the resulting assignments. Initial entities get
-    /// stable ids `0..n` in dense order.
+    /// Builds warm state around `inst`: solves it cold with
+    /// [`DeltaConfig::cold`] and stamps the resulting assignments.
+    /// Initial entities get stable ids `0..n` in dense order.
     pub fn new(inst: Instance, cfg: DeltaConfig, probe: &dyn Probe) -> DeltaEngine {
-        let planning = solve_with_probe(Algorithm::RatioGreedy, &inst, probe);
+        let planning = solve_with_probe(cfg.cold, &inst, probe);
         let nv = inst.num_events();
         let nu = inst.num_users();
         let mut engine = DeltaEngine {
@@ -727,13 +740,13 @@ impl DeltaEngine {
         (added.len(), recovered)
     }
 
-    /// Cold RatioGreedy solve over the live instance: replaces the
-    /// planning, re-stamps every assignment, resets churn and
-    /// re-anchors Ω.
+    /// Cold solve of the live instance with [`DeltaConfig::cold`]:
+    /// replaces the planning, re-stamps every assignment, resets churn
+    /// and re-anchors Ω.
     fn full_resolve(&mut self, probe: &dyn Probe) {
         probe.count(Counter::DeltaFallback, 1);
         self.stats.fallbacks += 1;
-        self.planning = solve_with_probe(Algorithm::RatioGreedy, &self.inst, probe);
+        self.planning = solve_with_probe(self.cfg.cold, &self.inst, probe);
         self.restamp();
         self.churned = 0.0;
         self.omega_anchor = self.planning.omega(&self.inst);
@@ -778,18 +791,44 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Two overlapping one-seat events and a later one: in DeGreedy's
+    /// step 2 `u1` outbids `u0` for `vb`, which leaves `vc`'s seat to
+    /// the `+RG` pass, so plain DeGreedy is not augmentation-stable here.
+    fn contested() -> Instance {
+        let mut b = InstanceBuilder::new();
+        let vb = b.event(1, Point::ORIGIN, iv(0, 10));
+        let vc = b.event(1, Point::ORIGIN, iv(5, 15));
+        let vd = b.event(1, Point::ORIGIN, iv(20, 30));
+        let u0 = b.user(Point::ORIGIN, Cost::new(10));
+        let u1 = b.user(Point::ORIGIN, Cost::new(10));
+        b.utility(vb, u0, 0.6);
+        b.utility(vc, u0, 0.5);
+        b.utility(vd, u0, 0.4);
+        b.utility(vb, u1, 0.9);
+        b.build().unwrap()
+    }
+
     fn engine() -> DeltaEngine {
         DeltaEngine::new(fixture(), DeltaConfig::default(), &NOOP)
     }
 
+    /// Step 1 of DESIGN.md §16's dirty-seed argument: the planning a
+    /// cold solve hands the first repair has no valid pair left.
+    fn assert_augmentation_stable(e: &DeltaEngine) {
+        let mut again = e.planning().clone();
+        assert_eq!(usep_algos::augment_with_ratio_greedy(e.instance(), &mut again), 0);
+    }
+
     #[test]
     fn warm_start_matches_the_cold_solver() {
-        let inst = fixture();
-        let cold = usep_algos::solve(Algorithm::RatioGreedy, &inst);
-        let e = DeltaEngine::new(inst, DeltaConfig::default(), &NOOP);
-        assert_eq!(*e.planning(), cold);
-        assert!(e.planning().validate(e.instance()).is_ok());
-        assert_eq!(e.drift(), 0.0);
+        for inst in [fixture(), contested()] {
+            let cold = usep_algos::solve(DeltaConfig::default().cold, &inst);
+            let e = DeltaEngine::new(inst, DeltaConfig::default(), &NOOP);
+            assert_eq!(*e.planning(), cold);
+            assert!(e.planning().validate(e.instance()).is_ok());
+            assert_eq!(e.drift(), 0.0);
+            assert_augmentation_stable(&e);
+        }
     }
 
     #[test]
@@ -869,17 +908,21 @@ mod tests {
 
     #[test]
     fn zero_threshold_forces_fallback_on_churn() {
-        let inst = fixture();
-        let mut e = DeltaEngine::new(inst, DeltaConfig { fallback_threshold: 0.0 }, &NOOP);
-        // removing an event with attendees churns > 0 → fallback
-        let out = e.apply(&Mutation::EventRemove { event: 0 }, &NOOP).unwrap();
-        if out.evicted > 0 {
+        // each instance with an event that has attendees
+        for (inst, event) in [(fixture(), 0), (contested(), 2)] {
+            let cfg = DeltaConfig { fallback_threshold: 0.0, ..DeltaConfig::default() };
+            let mut e = DeltaEngine::new(inst, cfg, &NOOP);
+            // removing an event with attendees churns > 0 → fallback
+            let out = e.apply(&Mutation::EventRemove { event }, &NOOP).unwrap();
+            assert!(out.evicted > 0);
             assert_eq!(out.kind, RepairKind::Fallback);
             assert_eq!(e.stats().fallbacks, 1);
+            // post-fallback the planning equals a cold solve of the live
+            // instance
+            let cold = usep_algos::solve(DeltaConfig::default().cold, e.instance());
+            assert_eq!(*e.planning(), cold);
+            assert_augmentation_stable(&e);
         }
-        // post-fallback the planning equals a cold solve of the live instance
-        let cold = usep_algos::solve(Algorithm::RatioGreedy, e.instance());
-        assert_eq!(*e.planning(), cold);
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //!   (event add/remove, capacity change, user arrive/depart, μ update),
 //!   addressed by stable ids so traces are replayable and journal-able.
 //! * [`DeltaEngine`] — warm state (live instance with amended frozen
-//!   view, current planning, recency stamps) absorbing mutations with
-//!   bounded work: instance *patch* (`usep-core`'s strided amendments,
-//!   never a rebuild), deterministic *release* of invalidated
-//!   assignments (LIFO on capacity shrink), then one RatioGreedy
-//!   augmentation pass over residual events, seeded only from the
-//!   events and users the mutation touched. A drift metric —
-//!   released-but-surviving utility over the Ω anchor — triggers
-//!   fallback to a full resolve when repairs have churned too much.
+//!   view, current planning, recency stamps), opened with a cold
+//!   DeGreedy+RG solve, absorbing mutations with bounded work: instance
+//!   *patch* (`usep-core`'s strided amendments, never a rebuild),
+//!   deterministic *release* of invalidated assignments (LIFO on
+//!   capacity shrink), then one RatioGreedy augmentation pass over
+//!   residual events, seeded only from the events and users the
+//!   mutation touched. A drift metric — released-but-surviving utility
+//!   over the Ω anchor — triggers fallback to another cold solve when
+//!   repairs have churned too much.
 //! * [`generate_trace`] — seeded, adversarial trace generator
 //!   (remove-then-readd, shrink-below-attendance, μ-zeroing).
 //! * [`run_trace`] / [`run_delta_fuzz`] — the differential referee:

@@ -6,8 +6,9 @@
 //! 2. lives on an instance that is byte-identical to a from-scratch
 //!    rebuild (object arrays, cost matrix, and the amended frozen SoA
 //!    view — the patch-layer differential), and
-//! 3. achieves Ω within the configured drift bound of a **cold**
-//!    RatioGreedy solve of the same live instance.
+//! 3. achieves Ω within the configured drift bound of a **cold** solve
+//!    of the same live instance with the engine's own cold algorithm
+//!    ([`DeltaConfig::cold`], DeGreedy+RG by default).
 //!
 //! On failure the fuzz harness shrinks the trace with a greedy
 //! delta-debugging pass ([`minimize_trace`]) that preserves the failure
@@ -17,7 +18,7 @@
 //!
 //! [`Planning::validate`]: usep_core::Planning::validate
 
-use usep_algos::{solve, Algorithm};
+use usep_algos::solve;
 use usep_core::{FlatInstance, Instance, InstanceBuilder};
 use usep_trace::Probe;
 
@@ -228,7 +229,7 @@ pub fn run_trace(
         };
 
         // 3. Ω within drift bound of a cold solve
-        let cold = solve(Algorithm::RatioGreedy, live);
+        let cold = solve(cfg.delta.cold, live);
         let omega_cold = cold.omega(live);
         let omega_inc = engine.omega();
         if omega_cold > 0.0 {

@@ -20,7 +20,8 @@ use usep_trace::NOOP;
 /// the bounded-repair route the metamorphic identity relies on.
 fn repair_only(seed: u64) -> DeltaEngine {
     let trace = generate_trace(&TraceGenConfig { seed, mutations: 0, events: 7, users: 10 });
-    DeltaEngine::new(trace.instance, DeltaConfig { fallback_threshold: f64::INFINITY }, &NOOP)
+    let cfg = DeltaConfig { fallback_threshold: f64::INFINITY, ..DeltaConfig::default() };
+    DeltaEngine::new(trace.instance, cfg, &NOOP)
 }
 
 fn iv(a: i64, b: i64) -> TimeInterval {

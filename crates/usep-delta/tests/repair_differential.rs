@@ -16,7 +16,8 @@
 //! test can: its traces later shrink capacities below attendance among
 //! assignments one repair added, so that order decides who is evicted,
 //! and every step's Ω, assignment count and repair kind must match
-//! digests recorded from the engine before the dirty seed.
+//! digests recorded from the engine before the dirty seed. Those
+//! engines cold-solved with RatioGreedy, so the digest test still does.
 //!
 //! The `#[ignore]`d cases are larger; run them in release:
 //!
@@ -26,7 +27,7 @@
 
 use std::collections::HashSet;
 
-use usep_algos::augment_with_ratio_greedy;
+use usep_algos::{augment_with_ratio_greedy, Algorithm};
 use usep_core::{EventId, Point, UserId};
 use usep_delta::{
     generate_trace, DeltaConfig, DeltaEngine, MuEntry, Mutation, RepairKind, TraceGenConfig,
@@ -252,10 +253,13 @@ fn a_vancouver_session_repairs_like_the_residual_wide_pass() {
     assert!(repaired > step / 2, "{repaired} of {step} steps repaired");
 }
 
-/// FNV-1a over every step's Ω bits, assignment count and repair kind.
+/// FNV-1a over every step's Ω bits, assignment count and repair kind,
+/// on an engine with the RatioGreedy cold solve the digests were
+/// recorded with.
 fn trace_digest(seed: u64) -> u64 {
     let t = generate_trace(&TraceGenConfig { seed, ..TraceGenConfig::default() });
-    let mut e = DeltaEngine::new(t.instance.clone(), DeltaConfig::default(), &NOOP);
+    let cfg = DeltaConfig { cold: Algorithm::RatioGreedy, ..DeltaConfig::default() };
+    let mut e = DeltaEngine::new(t.instance.clone(), cfg, &NOOP);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |bytes: &[u8]| {
         for &b in bytes {

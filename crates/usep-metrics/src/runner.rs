@@ -157,10 +157,10 @@ mod tests {
         assert!(unlimited.fallbacks.is_empty());
 
         // a 1-byte ceiling forces DeDPO's DP scratch reservation to fail
-        // and the chain to land on RatioGreedy
+        // and the chain to land on DeGreedy+RG
         let tight = SolveBudget::unlimited().with_memory_ceiling(1);
         let m = run_measured_guarded(Algorithm::DeDPO, &inst, &tight);
-        assert_eq!(m.algorithm, "RatioGreedy");
+        assert_eq!(m.algorithm, "DeGreedy+RG");
         assert_eq!(m.fallbacks, vec!["DeDPO".to_string()]);
         assert_eq!(m.outcome, "complete");
     }

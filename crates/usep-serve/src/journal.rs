@@ -23,10 +23,14 @@
 //!   (fsynced *before* the engine applies them, deduplicated on the
 //!   client's mutation id), and its close. A resumed server rebuilds
 //!   each open session's warm state by re-running the cold solve and
-//!   re-applying the journaled mutations in order. The server journals
-//!   an open's instance as the mutate line's `open` bytes as received
-//!   ([`Journal::append_delta_open`]), framed byte-identically to the
-//!   decoded record when the line is in the server's own encoding.
+//!   re-applying the journaled mutations in order. `DeltaOpen` names
+//!   the session's cold solve in its `cold` field; a record without
+//!   one was written before opens named it, when every session
+//!   cold-solved with RatioGreedy, and replays with RatioGreedy. The
+//!   server journals an open's instance as the mutate line's `open`
+//!   bytes as received ([`Journal::append_delta_open`]), framed
+//!   byte-identically to the decoded record when the line is in the
+//!   server's own encoding.
 //!
 //! **Frame format.** Each line is
 //! `{"len":N,"crc":"xxxxxxxx","rec":<record>}` where `N` is the byte
@@ -54,13 +58,43 @@
 
 use crate::io::{crc32, crc32_extend, JournalIo, StdIo};
 use crate::protocol::{SolveRequest, SolveResponse};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
+use usep_algos::Algorithm;
 use usep_core::Instance;
 use usep_delta::Mutation;
+
+/// The cold solve a [`JournalRecord::DeltaOpen`] names, journaled as
+/// the algorithm's display name. Records written before opens named
+/// their cold solve have none and default to RatioGreedy, the cold
+/// solve every such session ran; a name [`Algorithm::parse`] rejects
+/// makes the record unreadable, so replay quarantines it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ColdSolve(pub Algorithm);
+
+impl Default for ColdSolve {
+    fn default() -> ColdSolve {
+        ColdSolve(Algorithm::RatioGreedy)
+    }
+}
+
+impl Serialize for ColdSolve {
+    fn to_content(&self) -> Content {
+        Content::Str(self.0.name().to_string())
+    }
+}
+
+impl Deserialize for ColdSolve {
+    fn from_content(c: Content) -> Result<ColdSolve, DeError> {
+        let name = String::from_content(c)?;
+        Algorithm::parse(&name)
+            .map(ColdSolve)
+            .ok_or_else(|| DeError::new(format!("unknown cold solve '{name}'")))
+    }
+}
 
 /// One journal line.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -105,6 +139,9 @@ pub enum JournalRecord {
         instance: Arc<Instance>,
         /// Drift fraction the session falls back to a full resolve at.
         fallback_threshold: f64,
+        /// The session's cold solve, at open and at every fallback.
+        #[serde(default)]
+        cold: ColdSolve,
     },
     /// One mutation accepted into a delta session. Written (and
     /// fsynced) *before* the engine applies it — the mutation id is
@@ -136,10 +173,11 @@ const ACCEPTED_OPEN: &[u8] = b"{\"Accepted\":{\"request\":";
 const RECORD_CLOSE: &[u8] = b"}}";
 
 /// What `JournalRecord::DeltaOpen { .. }` serializes to around the JSON
-/// of its three fields.
+/// of its four fields.
 const DELTA_OPEN_SESSION: &[u8] = b"{\"DeltaOpen\":{\"session\":";
 const DELTA_OPEN_INSTANCE: &[u8] = b",\"instance\":";
 const DELTA_OPEN_THRESHOLD: &[u8] = b",\"fallback_threshold\":";
+const DELTA_OPEN_COLD: &[u8] = b",\"cold\":";
 
 /// Wraps one serialized record, given as byte pieces in order, in the
 /// length+CRC frame (newline included — one frame is one line). The
@@ -251,18 +289,21 @@ impl Journal {
 
     /// Appends the `DeltaOpen` record of a session whose instance is
     /// `received_instance`, the bytes of a mutate line's `open` value as
-    /// received, and fsyncs. The caller must have decoded those bytes to
-    /// the instance it opens; replay decodes the same bytes to the same
-    /// instance. An instance in the server's own encoding frames
-    /// byte-identically to `append(&JournalRecord::DeltaOpen { .. })`.
+    /// received, and whose engine cold-solves with `cold`, and fsyncs.
+    /// The caller must have decoded those bytes to the instance it
+    /// opens; replay decodes the same bytes to the same instance. An
+    /// instance in the server's own encoding frames byte-identically to
+    /// `append(&JournalRecord::DeltaOpen { .. })`.
     pub fn append_delta_open(
         &self,
         session: &str,
         received_instance: &str,
         fallback_threshold: f64,
+        cold: Algorithm,
     ) -> io::Result<()> {
         let session = json(session)?;
         let threshold = json(&fallback_threshold)?;
+        let cold = json(&ColdSolve(cold))?;
         self.append_frame(&frame_line(&[
             DELTA_OPEN_SESSION,
             session.as_bytes(),
@@ -270,6 +311,8 @@ impl Journal {
             received_instance.as_bytes(),
             DELTA_OPEN_THRESHOLD,
             threshold.as_bytes(),
+            DELTA_OPEN_COLD,
+            cold.as_bytes(),
             RECORD_CLOSE,
         ]))
     }
@@ -307,6 +350,7 @@ impl Journal {
                 session: name.clone(),
                 instance: Arc::clone(&session.instance),
                 fallback_threshold: session.fallback_threshold,
+                cold: ColdSolve(session.cold),
             })?;
             for (mutation_id, mutation) in &session.mutations {
                 push(&JournalRecord::DeltaMutate {
@@ -336,6 +380,9 @@ pub struct DeltaSessionState {
     pub instance: Arc<Instance>,
     /// The session's fallback threshold at open.
     pub fallback_threshold: f64,
+    /// The session's cold solve: the one its `DeltaOpen` names, or
+    /// RatioGreedy for a record written before opens named it.
+    pub cold: Algorithm,
     /// `(mutation_id, mutation)` in acceptance order; duplicate ids
     /// keep the first record, like every other journal family.
     pub mutations: Vec<(String, Mutation)>,
@@ -430,12 +477,13 @@ impl JournalState {
                 JournalRecord::Completed { response } => {
                     state.completed.entry(response.id.clone()).or_insert(response);
                 }
-                JournalRecord::DeltaOpen { session, instance, fallback_threshold } => {
+                JournalRecord::DeltaOpen { session, instance, fallback_threshold, cold } => {
                     // duplicate opens keep the first (re-opening is the
                     // client's idempotent retry, not a new session)
                     state.delta_sessions.entry(session).or_insert(DeltaSessionState {
                         instance,
                         fallback_threshold,
+                        cold: cold.0,
                         mutations: Vec::new(),
                     });
                 }
@@ -515,8 +563,8 @@ mod tests {
     use super::*;
     use crate::protocol::{MutateRequest, Status};
     use crate::server::{parse_line, Line};
-    use serde::Content;
     use usep_core::{Cost, EventId, InstanceBuilder, Point, TimeInterval, UserId};
+    use usep_delta::DeltaConfig;
 
     fn request(id: &str) -> SolveRequest {
         let mut b = InstanceBuilder::new();
@@ -736,15 +784,17 @@ mod tests {
         }
     }
 
-    /// A session open in the server's own encoding: the received-bytes
-    /// record must equal, byte for byte, the record of the instance
-    /// decoded from that line.
+    /// A new session open in the server's own encoding: the
+    /// received-bytes record, which names the default cold solve, must
+    /// equal, byte for byte, the record of the instance decoded from
+    /// that line.
     #[test]
     fn a_canonical_open_line_frames_like_its_decoded_record() {
         let dir = tempdir("canonical_open");
         let instance = usep_gen::generate_city(&usep_gen::CityConfig::auckland(), 7);
         let line = open_line("auckland-7", Arc::new(instance));
         let (request, received) = parse_open(&line);
+        let cold = DeltaConfig::default().cold;
         let (re_encoded, spliced) = (dir.join("re-encoded.jsonl"), dir.join("spliced.jsonl"));
         Journal::open(&re_encoded)
             .unwrap()
@@ -752,16 +802,80 @@ mod tests {
                 session: request.session.clone(),
                 instance: request.open.clone().unwrap(),
                 fallback_threshold: 0.3,
+                cold: ColdSolve(cold),
             })
             .unwrap();
         Journal::open(&spliced)
             .unwrap()
-            .append_delta_open(&request.session, received, 0.3)
+            .append_delta_open(&request.session, received, 0.3, cold)
             .unwrap();
         let bytes = std::fs::read(&spliced).unwrap();
         assert!(bytes.len() > 100_000, "an Auckland instance is hundreds of KB");
         assert!(bytes == std::fs::read(&re_encoded).unwrap(), "frames differ");
+        assert!(bytes.ends_with(b",\"cold\":\"DeGreedy+RG\"}}}\n"), "a new open names its solve");
+        let state = JournalState::replay(&spliced).unwrap();
+        assert_eq!(state.delta_sessions["auckland-7"].cold, Algorithm::DeGreedyRG);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A framed `DeltaOpen` record of `instance` at threshold 0.3 whose
+    /// last member is `cold`, or which has none, as in journals written
+    /// before opens named their cold solve.
+    fn open_frame(session: &str, instance: &Instance, cold: Option<&str>) -> Vec<u8> {
+        let cold = cold.map_or(String::new(), |name| format!(",\"cold\":{name}"));
+        let record = format!(
+            "{{\"DeltaOpen\":{{\"session\":\"{session}\",\"instance\":{},\
+             \"fallback_threshold\":0.3{cold}}}}}",
+            serde_json::to_string(instance).unwrap()
+        );
+        frame_line(&[record.as_bytes()])
+    }
+
+    #[test]
+    fn a_legacy_open_resumes_with_ratio_greedy_and_compacts_naming_it() {
+        let dir = tempdir("legacy_open");
+        let path = dir.join("wal.jsonl");
+        let instance = request("x").instance;
+        let journal = Journal::open(&path).unwrap();
+        journal.append_frame(&open_frame("old", &instance, None)).unwrap();
+        let canonical = serde_json::to_string(&*instance).unwrap();
+        journal.append_delta_open("new", &canonical, 0.3, DeltaConfig::default().cold).unwrap();
+
+        let state = JournalState::replay(&path).unwrap();
+        assert_eq!((state.quarantined, state.torn_tail), (0, false));
+        assert_eq!(state.delta_sessions["old"].cold, Algorithm::RatioGreedy);
+        assert_eq!(state.delta_sessions["old"].instance, instance);
+        assert_eq!(state.delta_sessions["new"].cold, Algorithm::DeGreedyRG);
+
+        journal.compact(&state).unwrap();
+        let compacted = std::fs::read(&path).unwrap();
+        let ratio_greedy = "\"RatioGreedy\"";
+        for (session, cold) in [("old", ratio_greedy), ("new", "\"DeGreedy+RG\"")] {
+            let frame = open_frame(session, &instance, Some(cold));
+            assert!(
+                compacted.windows(frame.len()).any(|w| w == frame),
+                "compaction names {session}'s cold solve {cold}"
+            );
+        }
+        let after = JournalState::replay(&path).unwrap();
+        assert_eq!(after.quarantined, 0);
+        assert_eq!(after.delta_sessions["old"].cold, Algorithm::RatioGreedy);
+        assert_eq!(after.delta_sessions["new"].cold, Algorithm::DeGreedyRG);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_open_naming_an_unknown_cold_solve_is_quarantined() {
+        let instance = request("x").instance;
+        let mut raw = Vec::new();
+        for (session, cold) in [("bad", "\"Quantum\""), ("number", "7"), ("good", "\"dedpo+rg\"")] {
+            raw.extend(open_frame(session, &instance, Some(cold)));
+        }
+        let state = JournalState::replay_bytes(&raw);
+        assert_eq!((state.quarantined, state.torn_tail), (2, false));
+        let sessions: Vec<&str> = state.delta_sessions.keys().map(String::as_str).collect();
+        assert_eq!(sessions, ["good"]);
+        assert_eq!(state.delta_sessions["good"].cold, Algorithm::DeDPORG);
     }
 
     /// An open line whose bytes a re-encode would change: members out of
@@ -786,7 +900,10 @@ mod tests {
         assert_eq!(decoded.session, "s\"\u{e9}-1");
         let opened = decoded.open.unwrap();
         assert_eq!(opened, request("x").instance, "the first `open` member decodes");
-        Journal::open(&path).unwrap().append_delta_open(&decoded.session, received, 0.25).unwrap();
+        Journal::open(&path)
+            .unwrap()
+            .append_delta_open(&decoded.session, received, 0.25, Algorithm::DeGreedyRG)
+            .unwrap();
 
         let raw = std::fs::read_to_string(&path).unwrap();
         assert_ne!(received, serde_json::to_string(&*opened).unwrap(), "spaced out");
@@ -807,7 +924,9 @@ mod tests {
         for name in ["a", "b"] {
             let line = non_canonical_open_line(&format!("\"{name}\""));
             let (request, received) = parse_open(&line);
-            journal.append_delta_open(&request.session, received, 0.25).unwrap();
+            journal
+                .append_delta_open(&request.session, received, 0.25, Algorithm::DeGreedyRG)
+                .unwrap();
         }
         let raw = std::fs::read(&path).unwrap();
         // the first open's record: every piece `append_delta_open` spliced
@@ -849,7 +968,7 @@ mod tests {
         assert!(matches!(parse_line(&solve), Line::Solve(Ok(_))));
         journal.append_accepted(&solve).unwrap();
         let (request, received) = parse_open(&open);
-        journal.append_delta_open(&request.session, received, 0.3).unwrap();
+        journal.append_delta_open(&request.session, received, 0.3, Algorithm::DeGreedyRG).unwrap();
         let state = JournalState::replay(&path).unwrap();
         assert_eq!((state.quarantined, state.torn_tail), (0, false));
         assert_eq!((state.pending.len(), state.delta_sessions.len()), (1, 1));
@@ -915,6 +1034,7 @@ mod tests {
                 session: "s".to_string(),
                 instance: Arc::clone(&awkward),
                 fallback_threshold: 0.3,
+                cold: ColdSolve(Algorithm::DeGreedyRG),
             },
             JournalRecord::DeltaMutate {
                 session: "s".to_string(),
@@ -1139,6 +1259,7 @@ mod tests {
             session: session.to_string(),
             instance: Arc::clone(&instance),
             fallback_threshold: 0.3,
+            cold: ColdSolve(Algorithm::DeGreedyRG),
         };
         let mutate = |session: &str, id: &str, cap: u32| JournalRecord::DeltaMutate {
             session: session.to_string(),

@@ -23,7 +23,7 @@
 //! * **Degradation** — inside the fence runs
 //!   [`usep_algos::GuardedSolver`], the same chain `usep solve` runs: a
 //!   `truncated:memory_ceiling` tier is retried one tier *down*
-//!   DeDP → DeDPO → RatioGreedy at once, rather than re-running the
+//!   DeDP → DeDPO → DeGreedy+RG at once, rather than re-running the
 //!   same solver into the same wall. Every tier gets a fresh guard, so
 //!   waiting between tiers could not change the outcome.
 //! * **Crash-safe journal** ([`journal`]) — an append-only JSON-lines
@@ -39,11 +39,14 @@
 //!   `{"verb":"mutate"}` control line opens a named warm
 //!   [`usep_delta::DeltaEngine`] session and streams typed mutations
 //!   (event add/remove, capacity change, user arrive/depart, μ
-//!   updates) through its bounded-repair path. Every accepted mutation
-//!   is journaled (fsynced) *before* it is applied and deduplicated on
-//!   its client-chosen mutation id, so a crashed server rebuilds every
-//!   session's warm state exactly on `--resume` and duplicate sends
-//!   answer the cached outcome — exactly-once, like solve ids.
+//!   updates) through its bounded-repair path. A session opens, and
+//!   falls back, with a cold DeGreedy+RG solve; its `DeltaOpen` record
+//!   names that solve, so a resumed session re-runs the one it opened
+//!   with. Every accepted mutation is journaled (fsynced) *before* it
+//!   is applied and deduplicated on its client-chosen mutation id, so a
+//!   crashed server rebuilds every session's warm state exactly on
+//!   `--resume` and duplicate sends answer the cached outcome —
+//!   exactly-once, like solve ids.
 //! * **Observability plane** ([`obs`]) — a Prometheus-text `/metrics`
 //!   listener on its own port (`--metrics-addr`), request-scoped
 //!   tracing (every span under a solve carries the request id),
@@ -64,7 +67,7 @@ pub mod server;
 pub use admission::{Admission, ShedReason, Ticket};
 pub use client::send_request;
 pub use io::{compact_tmp_path, crc32, JournalIo, StdIo};
-pub use journal::{DeltaSessionState, Journal, JournalRecord, JournalState};
+pub use journal::{ColdSolve, DeltaSessionState, Journal, JournalRecord, JournalState};
 pub use obs::ServeMetrics;
 pub use protocol::{
     estimate_instance_bytes, ControlRequest, MutateRequest, MutateResponse, PhaseTimings,

@@ -341,15 +341,16 @@ impl Server {
         }
 
         // Rebuild delta-session warm state from the journal: re-run
-        // each open session's cold solve, then re-apply its journaled
-        // mutations in acceptance order. The engine is deterministic,
-        // so the rebuilt warm state (and every cached per-mutation
-        // outcome) is exactly what the dead server held.
+        // each open session's cold solve (the one its open record
+        // names), then re-apply its journaled mutations in acceptance
+        // order. The engine is deterministic, so the rebuilt warm state
+        // (and every cached per-mutation outcome) is exactly what the
+        // dead server held.
         let mut delta_map = std::collections::BTreeMap::new();
         for (name, s) in std::mem::take(&mut resumed_state.delta_sessions) {
             let engine = DeltaEngine::new(
                 (*s.instance).clone(),
-                DeltaConfig { fallback_threshold: s.fallback_threshold },
+                DeltaConfig { fallback_threshold: s.fallback_threshold, cold: s.cold },
                 &*sink,
             );
             let mut session = DeltaSession { engine, applied: Default::default() };
@@ -865,24 +866,22 @@ fn handle_mutate(inner: &Inner, req: MutateRequest, received_open: Option<&str>)
         if let Err(e) = instance.validate() {
             return MutateResponse::rejected(&req.session, format!("invalid instance: {e}"));
         }
-        let threshold =
-            req.fallback_threshold.unwrap_or(DeltaConfig::default().fallback_threshold);
+        let defaults = DeltaConfig::default();
+        let cfg = DeltaConfig {
+            fallback_threshold: req.fallback_threshold.unwrap_or(defaults.fallback_threshold),
+            ..defaults
+        };
         let received = received_open.expect("a decoded `open` member has received bytes");
-        let opened = inner
-            .journal
-            .as_ref()
-            .map_or(Ok(()), |j| j.append_delta_open(&req.session, received, threshold));
+        let opened = inner.journal.as_ref().map_or(Ok(()), |j| {
+            j.append_delta_open(&req.session, received, cfg.fallback_threshold, cfg.cold)
+        });
         if let Err(e) = opened {
             inner.sink.count(Counter::ServeJournalFail, 1);
             obs.failed_journal.fetch_add(1, Ordering::Relaxed);
             obs.recorder.record("journal_fail", None, format!("delta open append: {e}"));
             return MutateResponse::rejected(&req.session, format!("journal unavailable: {e}"));
         }
-        let engine = DeltaEngine::new(
-            (**instance).clone(),
-            DeltaConfig { fallback_threshold: threshold },
-            &*inner.sink,
-        );
+        let engine = DeltaEngine::new((**instance).clone(), cfg, &*inner.sink);
         let session = DeltaSession { engine, applied: Default::default() };
         let response = session_snapshot(&req.session, &session, "opened");
         obs.recorder.record(

@@ -86,7 +86,7 @@ fn retry_chain_replays_byte_identically() {
 fn retry_chain_is_exercised_and_counted() {
     let _g = THREADS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let limits = SolveLimits { chaos_trip: Some(40), ..SolveLimits::default() };
-    // DeDP has the full three-tier chain (DeDP → DeDPO → RatioGreedy)
+    // DeDP has the full three-tier chain (DeDP → DeDPO → DeGreedy+RG)
     let req = SolveRequest { algorithm: Some("dedp".to_string()), ..request(5) };
     let sink = TraceSink::new();
     let resp = at_threads(1, || solve_with_retry(&req, &limits, &sink));

@@ -3,13 +3,15 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
+use usep_algos::Algorithm;
 use usep_core::Instance;
+use usep_delta::{generate_trace, DeltaConfig, DeltaEngine, RepairKind, TraceGenConfig};
 use usep_gen::{generate, SyntheticConfig};
 use usep_serve::{
-    send_request, Journal, JournalRecord, JournalState, MutateResponse, ServeConfig, Server,
+    crc32, send_request, Journal, JournalRecord, JournalState, MutateResponse, ServeConfig, Server,
     SolveRequest, SolveResponse, Status,
 };
-use usep_trace::Counter;
+use usep_trace::{Counter, NOOP};
 
 fn instance(seed: u64) -> Instance {
     generate(&SyntheticConfig::tiny().with_events(6).with_users(24).with_capacity_mean(4), seed)
@@ -309,4 +311,110 @@ fn server_side_caps_bound_client_budgets() {
     }
     server.shutdown();
     server.wait();
+}
+
+/// A served DeDPO whose memory ceiling refuses its DP buffers degrades
+/// once, to the chain's last tier, and answers with DeGreedy+RG's
+/// planning.
+#[test]
+fn a_dedpo_request_that_trips_its_ceiling_answers_with_degreedy_rg() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let req = SolveRequest {
+        algorithm: Some("dedpo".to_string()),
+        mem_budget_mb: Some(0),
+        ..request("no-memory", 13)
+    };
+    let resp = send_request(server.addr(), &req, CLIENT_TIMEOUT).unwrap();
+    assert_eq!(resp.status, Status::Complete, "{resp:?}");
+    assert_eq!(resp.executed.as_deref(), Some("DeGreedy+RG"));
+    assert_eq!(resp.retries, 1);
+    let planning = usep_algos::solve(Algorithm::DeGreedyRG, &req.instance);
+    assert_eq!(resp.omega.to_bits(), planning.omega(&req.instance).to_bits());
+    assert_eq!(resp.planning, Some(planning));
+    server.shutdown();
+    server.wait();
+}
+
+/// `{"DeltaOpen":…}` as journals written before opens named their cold
+/// solve frame it: no `cold` member.
+fn legacy_open_frame(session: &str, instance: &Instance) -> String {
+    let record = format!(
+        "{{\"DeltaOpen\":{{\"session\":\"{session}\",\"instance\":{},\
+         \"fallback_threshold\":0.3}}}}",
+        serde_json::to_string(instance).unwrap()
+    );
+    let crc = crc32(record.as_bytes());
+    format!("{{\"len\":{},\"crc\":\"{crc:08x}\",\"rec\":{record}}}\n", record.len())
+}
+
+/// Every session journaled before opens named their cold solve ran
+/// RatioGreedy, so `--resume` must rebuild it with RatioGreedy: a
+/// duplicate mutation id answers, byte for byte, what an engine with
+/// that cold solve answered when the mutation was first applied.
+#[test]
+fn a_session_journaled_without_a_cold_solve_resumes_with_ratio_greedy() {
+    let dir = tempdir("legacy_session");
+    let wal = dir.join("wal.jsonl");
+    let trace = generate_trace(&TraceGenConfig { seed: 5, mutations: 24, ..Default::default() });
+    let legacy = DeltaConfig { cold: Algorithm::RatioGreedy, ..DeltaConfig::default() };
+    let opened = DeltaEngine::new(trace.instance.clone(), DeltaConfig::default(), &NOOP);
+    let mut engine = DeltaEngine::new(trace.instance.clone(), legacy, &NOOP);
+    assert_ne!(engine.omega(), opened.omega(), "the two cold solves must differ here");
+
+    // what the dead server answered each mutation with
+    let mut answered = Vec::new();
+    for (i, m) in trace.mutations.iter().enumerate() {
+        let out = engine.apply(m, &NOOP).unwrap();
+        let stats = engine.stats();
+        let outcome = if out.kind == RepairKind::Fallback { "fallback" } else { "repaired" };
+        let resp = MutateResponse {
+            mutation_id: Some(format!("m{i}")),
+            omega: engine.omega(),
+            drift: engine.drift(),
+            assignments: engine.planning().num_assignments() as u64,
+            evicted: out.evicted as u64,
+            added: out.added as u64,
+            touched: out.touched as u64,
+            mutations: stats.mutations,
+            repairs: stats.repairs,
+            fallbacks: stats.fallbacks,
+            ..MutateResponse::accepted("s", outcome)
+        };
+        answered.push(serde_json::to_string(&resp).unwrap());
+    }
+    assert!(engine.stats().fallbacks > 0, "the trace must fall back to a cold solve");
+
+    // its journal: a header, the open in the old bytes, the mutations
+    let journal = Journal::open(&wal).unwrap();
+    let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+    file.write_all(legacy_open_frame("s", &trace.instance).as_bytes()).unwrap();
+    for (i, m) in trace.mutations.iter().enumerate() {
+        let mutation_id = format!("m{i}");
+        let mutation = m.clone();
+        journal
+            .append(&JournalRecord::DeltaMutate { session: "s".into(), mutation_id, mutation })
+            .unwrap();
+    }
+    drop(journal);
+
+    let cfg = ServeConfig { journal: Some(wal.clone()), resume: true, ..ServeConfig::default() };
+    let server = Server::start(cfg).unwrap();
+    assert_eq!(server.counter(Counter::DeltaMutation), trace.mutations.len() as u64);
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for (i, m) in trace.mutations.iter().enumerate() {
+        let line = format!(
+            r#"{{"verb":"mutate","session":"s","mutation_id":"m{i}","mutation":{}}}"#,
+            serde_json::to_string(m).unwrap()
+        );
+        writeln!(stream, "{line}").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply.trim_end(), answered[i], "m{i}");
+    }
+    assert_eq!(server.counter(Counter::DeltaMutation), trace.mutations.len() as u64);
+    server.shutdown();
+    server.wait();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -69,7 +69,7 @@ pub enum Counter {
     GuardMemoryTrip,
     /// Guard tripped by cooperative cancellation (solve truncated).
     GuardCancelTrip,
-    /// GuardedSolver fell back one step along DeDP → DeDPO → RatioGreedy
+    /// GuardedSolver fell back one step along DeDP → DeDPO → DeGreedy+RG
     /// after a memory trip — in `usep solve` and in every served
     /// request, where it sources `usep_serve_retried_total`.
     GuardFallback,
